@@ -3,7 +3,9 @@
 The continuum memory kernel is discretized into N explicit oscillators with
 weights chosen so the discrete cosine sum converges to the memory function;
 the coupled classical system (particle + bath, bilinear coupling through
-(q_j - x)^2) is then integrated symplectically from thermal initial data.
+(q_j - x)^2) is linear, so it is solved exactly in its normal modes from
+thermal initial data (Ford, Kac & Mazur, J. Math. Phys. 6, 504 (1965);
+Ullersma, Physica 32, 27 (1966)).
 This provides an independent check of the fluctuation-dissipation structure:
 the force on a frozen particle must satisfy <F(t)F(0)> = kT mu(t), and the
 free-particle ensemble MSD must match the quadrature route.
@@ -20,17 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, InsufficientStatisticsError, StepSizeError
+from .errors import GridError, InsufficientStatisticsError
 from .kernels import MemoryKernel
-from .motion import Trajectory
 from .response import ParticleModel
 
-# Symplectic step chosen against the fastest bath mode.
-_DT_FACTOR = 0.05
-_DRIFT_LIMIT = 1.0e-4
-
 _DUMP_MAGIC = b"QLEB"
-_DUMP_VERSION = 1
+_DUMP_VERSION = 2
+# Header after the magic and the uint32 version, per version.
+_DUMP_HEADER = {1: "<IIIddQ", 2: "<IIIIddddQ"}
 
 
 @dataclass(frozen=True)
@@ -149,12 +148,6 @@ class Ensemble:
     def n_traj(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def trajectories(self) -> list:
-        """Per-realization views as Trajectory records (shared time grid)."""
-        return [Trajectory(times=self.times, x=self.x[i], v=self.v[i])
-                for i in range(self.n_traj)]
-
 
 def _check_time_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
@@ -167,23 +160,43 @@ def _check_time_grid(t_grid) -> np.ndarray:
     return t
 
 
+def _propagators(t, lam, row, basis=None):
+    """Exact propagators of one observable of an undamped linear system.
+
+    The normal coordinates a = basis @ z (z itself when basis is None) obey
+    a'' = -lam a, and the observable is r = row . a.  Returns C, S and D of
+    shape (n_times, n_dof) with r(t) = C z(0) + S z'(0) and
+    r'(t) = D z(0) + C z'(0).  sin(wt)/w is written t sinc(wt/pi), so a zero
+    mode (free particle) needs no branch; rounding below zero is clipped.
+    """
+    lam = np.clip(lam, 0.0, None)
+    wt = np.multiply.outer(t, np.sqrt(lam))
+    C = np.cos(wt) * row
+    S = t[:, np.newaxis] * np.sinc(wt / np.pi) * row
+    D = -lam * S
+    if basis is None:
+        return C, S, D
+    return C @ basis, S @ basis, D @ basis
+
+
 def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
-                          n_traj: int, seed: int, force=None,
+                          n_traj: int, seed: int,
                           freeze_particle: bool = False,
                           x0: float = 0.0, v0: float | None = None) -> Ensemble:
-    """Integrate the coupled particle + bath system from thermal initial data.
+    """Evolve the coupled particle + bath system from thermal initial data.
 
     Bath coordinates start thermally distributed around the shifted
     equilibrium q_j = x(0) (no initial slip force); the particle velocity is
-    drawn from its Maxwell distribution unless v0 overrides it.  Integration
-    is velocity-Verlet with a step of 0.05 / max(omega_j); a full-system
-    energy drift beyond 1e-4 relative aborts the run.
+    drawn from its Maxwell distribution unless v0 overrides it.  Initial
+    data are drawn at t = 0 whatever the grid's first time.  The system is
+    linear, so x(t) and v(t) follow exactly from one eigendecomposition of
+    the (N+1)^2 mass-weighted stiffness matrix; there is no time step.
 
-    freeze_particle clamps x at x0 and evolves the bath exactly (each mode is
-    then free), recording the bath force on the particle in Ensemble.force.
-    Identical seeds give bit-identical ensembles; each trajectory uses an
-    independent child stream of the seed, so the result does not depend on
-    execution order.
+    freeze_particle clamps x at x0; each bath mode is then a normal mode on
+    its own, and the bath force on the particle is recorded in
+    Ensemble.force.  Identical seeds give bit-identical ensembles; each
+    trajectory uses an independent child stream of the seed, so the result
+    does not depend on execution order.
     """
     m, w, c = _bath_arrays(oscillators)
     t = _check_time_grid(t_grid)
@@ -191,11 +204,6 @@ def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
         raise ValueError("temperature must be >= 0 and finite")
     if not (isinstance(n_traj, (int, np.integer)) and n_traj >= 1):
         raise ValueError("n_traj must be a positive integer")
-    ext = None
-    if force is not None:
-        ext = force.f if hasattr(force, "f") else force
-        if not callable(ext):
-            raise TypeError("force must be callable or have a callable .f")
 
     kT = model.constants.k_B * T
     M, K = model.M, model.K
@@ -204,92 +212,39 @@ def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
     sigma_q = np.sqrt(kT / m) / w          # spread of q_j - x(0)
     sigma_p = np.sqrt(m * kT)
 
+    # Column 0 is the particle, columns 1.. the bath; positions are taken
+    # relative to x(0) = x0.
     streams = np.random.SeedSequence(seed).spawn(n_traj)
-    y0 = np.empty((n_traj, N))             # q_j - x0 at t = 0
-    u0 = np.empty((n_traj, N))             # bath velocities
-    v_init = np.empty(n_traj)
+    pos0 = np.zeros((n_traj, N + 1))
+    vel0 = np.zeros((n_traj, N + 1))
     for i in range(n_traj):
         rng = np.random.default_rng(streams[i])
         if not freeze_particle:
-            v_init[i] = rng.normal(0.0, sigma_v)
-        y0[i] = rng.normal(0.0, sigma_q)
-        u0[i] = rng.normal(0.0, sigma_p) / m
+            vel0[i, 0] = rng.normal(0.0, sigma_v)
+        pos0[i, 1:] = rng.normal(0.0, sigma_q)
+        vel0[i, 1:] = rng.normal(0.0, sigma_p) / m
 
     if freeze_particle:
-        # Clamped particle: every bath mode evolves freely and the force
-        # F(t) = sum_j c_j (q_j(t) - x0) is available in closed form.
-        cos_wt = np.cos(np.multiply.outer(t, w))       # (n_times, N)
-        sin_wt = np.sin(np.multiply.outer(t, w))
-        amp_cos = y0 * c                               # (n_traj, N)
-        amp_sin = (u0 / w) * c
-        F = amp_cos @ cos_wt.T + amp_sin @ sin_wt.T    # (n_traj, n_times)
+        # Clamped particle: the bath modes are the normal modes, and
+        # F(t) = sum_j c_j (q_j(t) - x0).
+        C, S, _ = _propagators(t, w ** 2, c)
+        F = pos0[:, 1:] @ C.T + vel0[:, 1:] @ S.T
         x_out = np.full((n_traj, t.size), float(x0))
         v_out = np.zeros((n_traj, t.size))
         return Ensemble(times=t, x=x_out, v=v_out, seed=int(seed),
                         N_bath=N, T=T, force=F, k_B=model.constants.k_B)
 
     if v0 is not None:
-        v_init[:] = float(v0)
-
-    x = np.full(n_traj, float(x0))
-    v = v_init.copy()
-    q = y0 + x0
-    u = u0
-    w2 = w ** 2
-    c_row = c[np.newaxis, :]
-
-    def accel(time_now, x_now, q_now):
-        d = q_now - x_now[:, np.newaxis]
-        ax = (d @ c - K * x_now) / M
-        if ext is not None:
-            ax = ax + ext(time_now) / M
-        aq = -w2 * d
-        return ax, aq
-
-    def energy(x_now, v_now, q_now, u_now):
-        d = q_now - x_now[:, np.newaxis]
-        return (0.5 * M * v_now ** 2 + 0.5 * K * x_now ** 2
-                + 0.5 * (u_now ** 2) @ m + 0.5 * (d ** 2) @ c)
-
-    E0 = energy(x, v, q, u)
-    drift_scale = np.maximum(np.abs(E0), 1.0e-300)
-
-    x_out = np.empty((n_traj, t.size))
-    v_out = np.empty((n_traj, t.size))
-    dt_target = _DT_FACTOR / float(w.max())
-
-    time_now = 0.0
-    ax, aq = accel(time_now, x, q)
-    save_idx = 0
-    if t[0] == 0.0:
-        x_out[:, 0] = x
-        v_out[:, 0] = v
-        save_idx = 1
-    segments = np.concatenate(([0.0], t)) if t[0] > 0.0 else t
-    for t_lo, t_hi in zip(segments[:-1], segments[1:]):
-        span = t_hi - t_lo
-        n_sub = max(1, int(math.ceil(span / dt_target)))
-        h = span / n_sub
-        for j in range(n_sub):
-            v_half = v + 0.5 * h * ax
-            u_half = u + 0.5 * h * aq
-            x = x + h * v_half
-            q = q + h * u_half
-            time_now = t_lo + (j + 1) * h
-            ax, aq = accel(time_now, x, q)
-            v = v_half + 0.5 * h * ax
-            u = u_half + 0.5 * h * aq
-        # External drives do work on the system; the conservation guard only
-        # applies to the autonomous ensemble.
-        if ext is None:
-            drift = np.max(np.abs(energy(x, v, q, u) - E0) / drift_scale)
-            if drift > _DRIFT_LIMIT:
-                raise StepSizeError(
-                    f"step too large: relative energy drift {drift:.3e} "
-                    f"exceeds {_DRIFT_LIMIT:.0e} at t = {t_hi:.6g}")
-        x_out[:, save_idx] = x
-        v_out[:, save_idx] = v
-        save_idx += 1
+        vel0[:, 0] = float(v0)
+    # Potential K x^2/2 + sum_j c_j (q_j - x)^2/2; mass-weighted stiffness.
+    H = np.diag(np.concatenate(([K + c.sum()], c)))
+    H[0, 1:] = H[1:, 0] = -c
+    root = np.sqrt(np.concatenate(([M], m)))
+    lam, U = np.linalg.eigh(H / np.outer(root, root))
+    C, S, D = _propagators(t, lam, U[0] / root[0], U.T * root)
+    # z(0) = x0 + pos0 in every coordinate.
+    x_out = x0 * C.sum(axis=1) + pos0 @ C.T + vel0 @ S.T
+    v_out = x0 * D.sum(axis=1) + pos0 @ D.T + vel0 @ C.T
     return Ensemble(times=t, x=x_out, v=v_out, seed=int(seed),
                     N_bath=N, T=T, force=None, k_B=model.constants.k_B)
 
@@ -371,39 +326,60 @@ def force_autocorrelation_check(ens: Ensemble, oscillators,
 
 
 def dump_ensemble(ens: Ensemble, path) -> None:
-    """Write the raw trajectories in a documented binary layout.
+    """Write the raw trajectories in a documented binary layout (version 2).
 
     Little-endian throughout: magic b"QLEB", uint32 version, uint32 n_traj,
-    uint32 n_times, uint32 N_bath, float64 dt, float64 T, uint64 seed,
-    then x and v as row-major float64 arrays of shape (n_traj, n_times).
-    Requires a uniform time grid (dt is stored in the header).
+    uint32 n_times, uint32 N_bath, uint32 has_force, float64 t0, float64 dt,
+    float64 T, float64 k_B, uint64 seed, then x, v and (when has_force is 1)
+    force as row-major float64 arrays of shape (n_traj, n_times).  Requires
+    a uniform time grid t0 + dt * k.  Version 1 files lack has_force, t0 and
+    k_B, and load as t0 = 0, k_B = 1.
     """
     dts = np.diff(ens.times)
     if not np.allclose(dts, dts[0], rtol=1.0e-9, atol=0.0):
         raise ValueError("binary dump requires a uniform time grid")
-    header = _DUMP_MAGIC + struct.pack(
-        "<IIIIddQ", _DUMP_VERSION, ens.n_traj, ens.times.size, ens.N_bath,
-        float(dts[0]), float(ens.T), int(ens.seed))
+    blocks = [ens.x, ens.v] + ([] if ens.force is None else [ens.force])
+    header = struct.pack(
+        _DUMP_HEADER[_DUMP_VERSION], ens.n_traj, ens.times.size, ens.N_bath,
+        int(ens.force is not None), float(ens.times[0]), float(dts[0]),
+        float(ens.T), float(ens.k_B), int(ens.seed))
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ens.x, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ens.v, dtype="<f8").tobytes())
+        fh.write(_DUMP_MAGIC + struct.pack("<I", _DUMP_VERSION) + header)
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def load_ensemble(path) -> Ensemble:
-    """Read back a dump_ensemble file (inverse of dump_ensemble)."""
+    """Read back a dump_ensemble file of version 1 or 2.
+
+    Raises ValueError when the file is not a dump or its length does not
+    match its header.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DUMP_MAGIC:
-            raise ValueError("not an ensemble dump (bad magic)")
-        header_fmt = "<IIIIddQ"
-        version, n_traj, n_times, n_bath, dt, T, seed = struct.unpack(
-            header_fmt, fh.read(struct.calcsize(header_fmt)))
-        if version != _DUMP_VERSION:
-            raise ValueError(f"unsupported dump version {version}")
-        count = n_traj * n_times
-        x = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(n_traj, n_times)
-        v = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(n_traj, n_times)
-    times = dt * np.arange(n_times)
-    return Ensemble(times=times, x=x.copy(), v=v.copy(), seed=int(seed),
-                    N_bath=int(n_bath), T=float(T))
+        data = fh.read()
+    if len(data) < 8 or data[:4] != _DUMP_MAGIC:
+        raise ValueError("not an ensemble dump (bad magic)")
+    (version,) = struct.unpack_from("<I", data, 4)
+    fmt = _DUMP_HEADER.get(version)
+    if fmt is None:
+        raise ValueError(f"unsupported dump version {version}")
+    start = 8 + struct.calcsize(fmt)
+    if len(data) < start:
+        raise ValueError(f"truncated dump header: expected {start} bytes, "
+                         f"found {len(data)}")
+    if version == 1:
+        n_traj, n_times, n_bath, dt, T, seed = struct.unpack_from(fmt, data, 8)
+        has_force, t0, k_B = 0, 0.0, 1.0
+    else:
+        n_traj, n_times, n_bath, has_force, t0, dt, T, k_B, seed = \
+            struct.unpack_from(fmt, data, 8)
+    shape = (2 + has_force, n_traj, n_times)
+    expected = 8 * math.prod(shape)
+    if len(data) - start != expected:
+        raise ValueError(f"dump payload is {len(data) - start} bytes; the "
+                         f"header expects {expected}")
+    x, v, *force = np.frombuffer(data, dtype="<f8", offset=start).reshape(shape)
+    return Ensemble(times=t0 + dt * np.arange(n_times), x=x.copy(),
+                    v=v.copy(), seed=int(seed), N_bath=int(n_bath),
+                    T=float(T), force=force[0].copy() if force else None,
+                    k_B=float(k_B))

@@ -25,7 +25,7 @@ class AcausalModelError(QlebathError):
 
 
 class StepSizeError(QlebathError):
-    """Fixed-step integration failed its step-halving or energy-drift check."""
+    """Fixed-step integration failed its step-halving or finiteness check."""
 
 
 class GridError(QlebathError):

@@ -1,9 +1,11 @@
 """Discretized-bath simulation: kernel reconstruction, thermal statistics."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qlebath import (
     DIMENSIONLESS,
@@ -12,7 +14,6 @@ from qlebath import (
     OhmicKernel,
     ParticleModel,
     SingleRelaxationKernel,
-    StepSizeError,
     discretize_bath,
     dump_ensemble,
     ensemble_msd,
@@ -24,7 +25,6 @@ from qlebath import (
     recurrence_time,
     simulate_classical_io,
 )
-from qlebath import bath_sim
 
 
 def test_discretization_nodes_and_weights():
@@ -121,14 +121,25 @@ def test_equipartition_of_the_bound_particle():
     assert np.mean(x_tail ** 2) == pytest.approx(1.0, rel=5e-2)  # kT / K
 
 
-def test_energy_drift_guard_trips_on_coarse_steps(monkeypatch):
+def test_moving_particle_matches_the_matrix_exponential():
+    # Independent reference: expm of the 2(N+1) first-order system.
     kernel = OhmicKernel(gamma=1.0)
     model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
-    osc = discretize_bath(kernel, N=20, omega_max=12.0)
-    monkeypatch.setattr(bath_sim, "_DT_FACTOR", 1.9)
-    with pytest.raises(StepSizeError):
-        simulate_classical_io(osc, model, 1.0, np.linspace(0.0, 5.0, 6),
-                              n_traj=2, seed=1)
+    osc = discretize_bath(kernel, N=3, omega_max=12.0)
+    t = np.linspace(0.0, 10.0, 21)
+    ens = simulate_classical_io(osc, model, 0.0, t, n_traj=1, seed=3,
+                                x0=0.5, v0=1.0)
+    c = np.array([o.weight for o in osc])
+    mass = np.concatenate(([1.0], [o.m_j for o in osc]))
+    H = np.diag(np.concatenate(([1.0 + c.sum()], c)))
+    H[0, 1:] = H[1:, 0] = -c
+    n = c.size + 1
+    A = np.block([[np.zeros((n, n)), np.eye(n)],
+                  [-H / mass[:, np.newaxis], np.zeros((n, n))]])
+    y0 = np.concatenate((np.full(n, 0.5), [1.0], np.zeros(n - 1)))
+    ref = np.array([expm(A * tk) @ y0 for tk in t])
+    for got, want in ((ens.x[0], ref[:, 0]), (ens.v[0], ref[:, n])):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_frozen_particle_force_statistics():
@@ -222,6 +233,66 @@ def test_dump_and_load_round_trip(tmp_path):
     assert (back.seed, back.N_bath, back.T) == (11, 20, 1.5)
     with pytest.raises(ValueError):
         load_ensemble(__file__)  # not a dump file
+
+
+def test_dump_keeps_a_late_starting_grid(tmp_path):
+    kernel = OhmicKernel(gamma=1.0)
+    model = ParticleModel(M=1.0, K=0.0, Omega=1.0)
+    osc = discretize_bath(kernel, N=20, omega_max=12.0)
+    t = np.linspace(0.5, 2.5, 9)
+    ens = simulate_classical_io(osc, model, 1.0, t, n_traj=3, seed=12)
+    dump_ensemble(ens, tmp_path / "late.bin")
+    back = load_ensemble(tmp_path / "late.bin")
+    assert np.allclose(back.times, t, rtol=1e-12, atol=0.0)
+    assert np.array_equal(back.x, ens.x) and np.array_equal(back.v, ens.v)
+    assert back.force is None
+
+
+def test_dump_keeps_the_frozen_force(tmp_path):
+    kernel = OhmicKernel(gamma=1.0)
+    model = ParticleModel(M=1.0, K=0.0, Omega=1.0)
+    osc = discretize_bath(kernel, N=50, omega_max=16.0)
+    t = np.linspace(0.0, 5.0, 26)
+    ens = simulate_classical_io(osc, model, 1.0, t, n_traj=64, seed=7,
+                                freeze_particle=True)
+    dump_ensemble(ens, tmp_path / "frozen.bin")
+    back = load_ensemble(tmp_path / "frozen.bin")
+    assert np.array_equal(back.force, ens.force)
+    before = force_autocorrelation_check(ens, osc, kernel)
+    after = force_autocorrelation_check(back, osc, kernel)
+    assert np.array_equal(after.estimate, before.estimate)
+    assert np.array_equal(after.target, before.target)
+
+
+def test_load_reads_version_1_dumps(tmp_path):
+    x = np.arange(6.0).reshape(2, 3)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"QLEB" + struct.pack("<IIIIddQ", 1, 2, 3, 10, 0.25, 1.5,
+                                           4) + x.tobytes() + (-x).tobytes())
+    ens = load_ensemble(path)
+    assert np.array_equal(ens.times, [0.0, 0.25, 0.5])
+    assert np.array_equal(ens.x, x) and np.array_equal(ens.v, -x)
+    assert (ens.seed, ens.N_bath, ens.T, ens.force) == (4, 10, 1.5, None)
+
+
+def test_load_rejects_a_dump_of_the_wrong_length(tmp_path):
+    kernel = OhmicKernel(gamma=1.0)
+    model = ParticleModel(M=1.0, K=0.0, Omega=1.0)
+    osc = discretize_bath(kernel, N=20, omega_max=12.0)
+    ens = simulate_classical_io(osc, model, 1.0, np.linspace(0.0, 2.0, 5),
+                                n_traj=3, seed=11)
+    path = tmp_path / "ens.bin"
+    dump_ensemble(ens, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+    with pytest.raises(ValueError, match="expects 240"):
+        load_ensemble(path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match="expects 240"):
+        load_ensemble(path)
+    path.write_bytes(data[:20])
+    with pytest.raises(ValueError, match="truncated dump header"):
+        load_ensemble(path)
 
 
 def test_dump_requires_uniform_grid(tmp_path):
