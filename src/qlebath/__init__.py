@@ -30,10 +30,7 @@ from .kernels import (
     OhmicKernel,
     PhysicalConstants,
     SingleRelaxationKernel,
-    form_factor_sq,
     kernel_from_json,
-    kernel_to_json,
-    mu_tilde,
 )
 from .response import (
     ParticleModel,
@@ -48,14 +45,12 @@ from .response import (
 )
 from .thermo import (
     FreeEnergyCurve,
-    WeltonIntegrand,
     bbr_shift_closed_form,
     coupled_free_energy,
     fit_quadratic_coefficient,
     free_energy_curve,
     free_energy_shift,
     oscillator_free_energy,
-    planck_energy_density,
     thermo_derivatives,
     welton_closed_form,
     welton_energy,
@@ -67,7 +62,6 @@ from .motion import (
     bounded_al_trajectory,
     characteristic_roots,
     constant_with_ramp,
-    effectivize,
     gaussian_pulse,
     integrate_point_limit,
     integrate_third_order,

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import scipy
@@ -99,42 +100,22 @@ def _run_causality(cfg: RunConfig) -> dict:
     return report.to_json()
 
 
-def _thermo_rows(cfg: RunConfig, use_shift_route: bool):
+def _run_thermo(cfg: RunConfig, use_shift_route: bool) -> dict:
     kernel, model = cfg.kernel(), cfg.model()
-    temps = cfg.grid("T")
-    allow = cfg.options.get("allow_acausal", False)
+    curve = thermo.free_energy_curve(
+        kernel, model, cfg.grid("T"), rtol=cfg.tolerance,
+        allow_acausal=cfg.options.get("allow_acausal", False),
+        use_shift_route=use_shift_route)
+    temps, shifts, errors = curve.temperatures, curve.shift, curve.errors
     factor = _dim_factor(cfg)
-    k = cfg.constants
-
-    values = np.empty(temps.size)
-    baselines = np.empty(temps.size)
-    errors = np.empty(temps.size)
-    for i, T in enumerate(temps):
-        baselines[i] = thermo.oscillator_free_energy(model.omega_0, T, k)
-        if use_shift_route:
-            values[i], errors[i] = thermo.free_energy_shift(
-                kernel, model, T, rtol=cfg.tolerance, allow_acausal=allow)
-        else:
-            values[i], errors[i] = thermo.coupled_free_energy(
-                kernel, model, T, rtol=cfg.tolerance, allow_acausal=allow)
-
-    if use_shift_route:
-        shifts = values
-        f0 = baselines + shifts
-        deriv_source = shifts        # derivatives of the shift itself
-    else:
-        f0 = values
-        shifts = f0 - baselines
-        deriv_source = f0
 
     derivs = None
     deriv_note = None
     if temps.size >= 5:
-        curve = thermo.FreeEnergyCurve(
-            temperatures=temps, values=deriv_source, errors=errors,
-            kernel_meta=kernel.to_json(), model_meta=model.to_json())
+        # the shift route's U/S/C are those of the shift, not of F0
+        source = replace(curve, values=shifts) if use_shift_route else curve
         try:
-            derivs = thermo.thermo_derivatives(curve)
+            derivs = thermo.thermo_derivatives(source)
         except QlebathError as exc:
             deriv_note = str(exc)
     else:
@@ -146,7 +127,7 @@ def _thermo_rows(cfg: RunConfig, use_shift_route: bool):
         U = derivs["U"][i] if derivs is not None else nan
         S = derivs["S"][i] if derivs is not None else nan
         C = derivs["C"][i] if derivs is not None else nan
-        rows.append((T, factor * f0[i], factor * baselines[i],
+        rows.append((T, factor * curve.values[i], factor * curve.baseline[i],
                      factor * shifts[i], factor * U, factor * S, factor * C,
                      factor * errors[i]))
 
@@ -160,18 +141,6 @@ def _thermo_rows(cfg: RunConfig, use_shift_route: bool):
             # shift = c T^2, so the closed-form coefficient is the shift at T = 1
             result["t2_closed_form"] = thermo.bbr_shift_closed_form(
                 1.0, model, dimensions=cfg.dim)
-    return rows, result
-
-
-def _run_free_energy(cfg: RunConfig) -> dict:
-    rows, result = _thermo_rows(cfg, use_shift_route=False)
-    _write_artifacts(cfg, ("T", "F0", "baseline", "shift", "U", "S", "C",
-                           "quad_error"), rows, {"result": result})
-    return result
-
-
-def _run_shift(cfg: RunConfig) -> dict:
-    rows, result = _thermo_rows(cfg, use_shift_route=True)
     _write_artifacts(cfg, ("T", "F0", "baseline", "shift", "U", "S", "C",
                            "quad_error"), rows, {"result": result})
     return result
@@ -214,9 +183,11 @@ def _run_electron_motion(cfg: RunConfig) -> dict:
     a0 = cfg.options["a0"]
     integrator = cfg.options["integrator"]
     if integrator == "point-limit":
-        traj = motion.integrate_point_limit(sig, model, t_grid, x0=x0, v0=v0)
+        traj = motion.integrate_point_limit(sig, model, t_grid, x0=x0, v0=v0,
+                                            rtol=cfg.tolerance)
     elif integrator == "bounded-al":
-        traj = motion.bounded_al_trajectory(sig, model, t_grid, x0=x0, v0=v0)
+        traj = motion.bounded_al_trajectory(sig, model, t_grid, x0=x0, v0=v0,
+                                            rtol=cfg.tolerance)
     else:
         variant = "cutoff" if integrator == "cutoff" else "abraham_lorentz"
         traj = motion.integrate_third_order(sig, model, t_grid, x0=x0, v0=v0,
@@ -233,11 +204,9 @@ def _run_diffusion(cfg: RunConfig) -> dict:
     kernel, model = cfg.kernel(), cfg.model()
     T = cfg.options["T"]
     classical = cfg.options["classical"]
-    if "t" in cfg.grids:
-        times = cfg.grid("t")
-    else:
-        times = np.geomspace(10.0 / kernel.scale, 100.0 / kernel.scale, 21)
-    curve = diffusion.msd_curve(kernel, model, T, times, classical=classical)
+    times = cfg.grid("t") if "t" in cfg.grids else None
+    curve = diffusion.msd_curve(kernel, model, T, times, classical=classical,
+                                rtol=cfg.tolerance)
     tags = diffusion.regime_tag(curve)
     report = diffusion.report_from_curve(curve)
     rows = list(zip(curve.times, curve.values, tags))
@@ -285,8 +254,8 @@ def _run_oracle(cfg: RunConfig) -> dict:
 _RUNNERS = {
     "susceptibility": _run_susceptibility,
     "causality": _run_causality,
-    "free-energy": _run_free_energy,
-    "shift": _run_shift,
+    "free-energy": partial(_run_thermo, use_shift_route=False),
+    "shift": partial(_run_thermo, use_shift_route=True),
     "welton": _run_welton,
     "electron-motion": _run_electron_motion,
     "diffusion": _run_diffusion,

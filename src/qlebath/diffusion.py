@@ -251,9 +251,16 @@ def _tail_power_fit(times: np.ndarray, values: np.ndarray):
     return float(p), float(np.exp(b)), stderr, residual, mask
 
 
-def msd_curve(kernel: MemoryKernel, model: ParticleModel, T: float, times,
-              classical: bool | None = None, rtol: float = 1.0e-9) -> MsdCurve:
-    """Evaluate msd on a time grid and fit the long-time power law."""
+def msd_curve(kernel: MemoryKernel, model: ParticleModel, T: float,
+              times=None, classical: bool | None = None,
+              rtol: float = 1.0e-9) -> MsdCurve:
+    """Evaluate msd on a time grid and fit the long-time power law.
+
+    With times=None the grid is the decade [10, 100] in units of the
+    kernel's relaxation time, sampled at 21 logarithmic points.
+    """
+    if times is None:
+        times = np.geomspace(10.0 / kernel.scale, 100.0 / kernel.scale, 21)
     t_arr = _check_times(times)
     values = np.array([msd(kernel, model, T, float(t), classical=classical,
                            rtol=rtol) for t in t_arr])
@@ -321,14 +328,10 @@ def diffusion_constant(kernel: MemoryKernel, model: ParticleModel, T: float,
                        rtol: float = 1.0e-9) -> DiffusionReport:
     """Fit the long-time msd tail; return D for normal diffusion.
 
-    With times=None the fit window is the decade [10, 100] in units of the
-    kernel's relaxation time, sampled at 21 logarithmic points.  The tail is
-    anomalous when the fitted exponent differs from 1 by more than
+    With times=None the fit window is the one of ``msd_curve``.  The tail
+    is anomalous when the fitted exponent differs from 1 by more than
     max(3 stderr, 0.1).
     """
-    if times is None:
-        scale = kernel.scale
-        times = np.geomspace(10.0 / scale, 100.0 / scale, 21)
     curve = msd_curve(kernel, model, T, times, classical=classical, rtol=rtol)
     return report_from_curve(curve)
 

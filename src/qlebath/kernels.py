@@ -75,10 +75,6 @@ class FormFactor:
         return float(out) if np.isscalar(omega) else out
 
 
-def form_factor_sq(ff: FormFactor, omega):
-    return ff.squared(omega)
-
-
 def _check_upper_half(z):
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
@@ -216,18 +212,6 @@ class BlackbodyKernel:
 
 
 MemoryKernel = OhmicKernel | SingleRelaxationKernel | BlackbodyKernel
-
-
-def mu_tilde(kernel: MemoryKernel, z):
-    """Laplace-side memory kernel at z with Im z >= 0.
-
-    Real z means the boundary value from above, mu(omega + i0+).
-    """
-    return kernel.mu_tilde(z)
-
-
-def kernel_to_json(kernel: MemoryKernel) -> dict:
-    return kernel.to_json()
 
 
 def kernel_from_json(spec: dict, constants: PhysicalConstants | None = None) -> MemoryKernel:

@@ -20,6 +20,13 @@ a(t) = (1/M) int_0^inf e^{-u} f(t + u tau_e) du.  Forward integration from
 any finite-precision initial acceleration cannot reach this solution: an
 initial error of size delta seeds delta e^{t/tau_e}, which immediately
 dominates the O((omega tau_e)^2) difference one wants to measure.
+
+The point-limit and bounded solutions have an acceleration that is an
+explicit function of time, so both go through one RK4 path with no state
+feedback: a(t) is sampled once at the quarter points of each grid interval,
+the paths at the grid step and at half of it are running sums, and their
+endpoint disagreement is the step check.  Only the third-order equations
+feed the state back and are stepped by generic RK4 with substeps.
 """
 
 from __future__ import annotations
@@ -41,10 +48,10 @@ _RUNAWAY_R2 = 0.99
 
 @dataclass(frozen=True)
 class ForceSignal:
-    """A drive f(t) with its analytic derivatives.
+    """A drive f(t) with its analytic derivative.
 
-    ``fdot`` must be the derivative of ``f``; ``fddot`` (optional) is needed
-    only to build the effectivized signal's own derivative.
+    ``fdot`` must be the derivative of ``f``.  ``fddot``, an optional second
+    derivative, is carried along for callers; no integrator reads it.
     """
 
     f: Callable[[float], float]
@@ -54,8 +61,7 @@ class ForceSignal:
 
 
 def zero_force() -> ForceSignal:
-    return ForceSignal(f=lambda t: 0.0, fdot=lambda t: 0.0,
-                       fddot=lambda t: 0.0, name="zero")
+    return ForceSignal(f=lambda t: 0.0, fdot=lambda t: 0.0, name="zero")
 
 
 def _smoothstep(u: float) -> float:
@@ -65,10 +71,6 @@ def _smoothstep(u: float) -> float:
 
 def _smoothstep_d1(u: float) -> float:
     return 30.0 * u * u * (1.0 - u) ** 2
-
-
-def _smoothstep_d2(u: float) -> float:
-    return 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
 
 
 def constant_with_ramp(f0: float, t_ramp: float) -> ForceSignal:
@@ -93,12 +95,7 @@ def constant_with_ramp(f0: float, t_ramp: float) -> ForceSignal:
             return 0.0
         return f0 * _smoothstep_d1(t / t_ramp) / t_ramp
 
-    def fddot(t: float) -> float:
-        if t <= 0.0 or t >= t_ramp:
-            return 0.0
-        return f0 * _smoothstep_d2(t / t_ramp) / t_ramp ** 2
-
-    return ForceSignal(f=f, fdot=fdot, fddot=fddot, name="ramped_constant")
+    return ForceSignal(f=f, fdot=fdot, name="ramped_constant")
 
 
 def sinusoid(f0: float, omega_d: float) -> ForceSignal:
@@ -108,7 +105,6 @@ def sinusoid(f0: float, omega_d: float) -> ForceSignal:
     return ForceSignal(
         f=lambda t: f0 * math.sin(omega_d * t),
         fdot=lambda t: f0 * omega_d * math.cos(omega_d * t),
-        fddot=lambda t: -f0 * omega_d ** 2 * math.sin(omega_d * t),
         name="sinusoid",
     )
 
@@ -124,34 +120,7 @@ def gaussian_pulse(f0: float, t0: float, sigma: float) -> ForceSignal:
     def fdot(t: float) -> float:
         return -f(t) * (t - t0) / sigma ** 2
 
-    def fddot(t: float) -> float:
-        return f(t) * (((t - t0) / sigma ** 2) ** 2 - 1.0 / sigma ** 2)
-
-    return ForceSignal(f=f, fdot=fdot, fddot=fddot, name="gaussian_pulse")
-
-
-def effectivize(sig: ForceSignal, Omega: float) -> ForceSignal:
-    """The cutoff-dressed drive f(t) + fdot(t)/Omega.
-
-    Its own derivative needs fddot of the original signal.  Omega -> inf
-    returns the signal unchanged.
-    """
-    if not (Omega > 0):
-        raise ValueError("Omega must be > 0")
-    if math.isinf(Omega):
-        return sig
-    if sig.fddot is None:
-        raise ValueError(
-            "effectivize needs the signal's second derivative (fddot) to "
-            "provide the dressed signal's own derivative"
-        )
-    inv = 1.0 / Omega
-    return ForceSignal(
-        f=lambda t, _s=sig: _s.f(t) + inv * _s.fdot(t),
-        fdot=lambda t, _s=sig: _s.fdot(t) + inv * _s.fddot(t),
-        fddot=None,
-        name=f"{sig.name}+cutoff_dressed",
-    )
+    return ForceSignal(f=f, fdot=fdot, name="gaussian_pulse")
 
 
 @dataclass(frozen=True)
@@ -284,6 +253,52 @@ def _classify(times: np.ndarray, a: np.ndarray, tau_e: float):
     return bool(runaway), growth, fit_rate, fit_r2
 
 
+def _rk4_known(h: np.ndarray, a0: np.ndarray, am: np.ndarray,
+               a1: np.ndarray, x0: float, v0: float):
+    """RK4 for xdd = a(t) over steps h, from a at each step's start, middle, end.
+
+    With no state feedback the RK4 update collapses to
+    v += h/6 (a0 + 4 am + a1) and x += h v + h^2/6 (a0 + 2 am), so the whole
+    path is two running sums.
+    """
+    v = np.cumsum(np.concatenate(([v0], h / 6.0 * (a0 + 4.0 * am + a1))))
+    dx = h * v[:-1] + h * h / 6.0 * (a0 + 2.0 * am)
+    return np.cumsum(np.concatenate(([x0], dx))), v
+
+
+def _integrate_known_acceleration(accel, t_grid, x0: float, v0: float,
+                                  rtol: float, tau_e: float) -> Trajectory:
+    """Integrate xdd = accel(t) by RK4 at the grid step and at half of it.
+
+    accel is sampled once at the quarter points of every interval: the full
+    step uses the ends and the middle, the two half steps use all five.  The
+    half-step path is returned; StepSizeError is raised when either path
+    leaves the finite range or when the two endpoints disagree beyond
+    ``rtol`` of the position scale.
+    """
+    t = _check_grid(t_grid)
+    h = np.diff(t)
+    quarters = t[:-1, None] + h[:, None] * np.array([0.0, 0.25, 0.5, 0.75])
+    samples = np.array([accel(tk) for tk in np.append(quarters.ravel(), t[-1])])
+    x_full, v_full = _rk4_known(h, samples[0:-1:4], samples[2::4],
+                                samples[4::4], x0, v0)
+    x_half, v_half = _rk4_known(np.repeat(0.5 * h, 2), samples[0:-1:2],
+                                samples[1::2], samples[2::2], x0, v0)
+    if not all(np.all(np.isfinite(p)) for p in (x_full, v_full, x_half, v_half)):
+        raise StepSizeError("integration left the finite range (check the drive)")
+    scale = float(np.max(np.abs(x_half))) + 1e-300
+    if abs(x_full[-1] - x_half[-1]) > rtol * scale:
+        raise StepSizeError(
+            f"step too large: halving the step moves the endpoint by "
+            f"{abs(x_full[-1] - x_half[-1]):.3e} (> {rtol:g} of scale {scale:.3e})"
+        )
+    a = samples[::4]
+    runaway, growth, fit_rate, fit_r2 = _classify(t, a, tau_e)
+    return Trajectory(times=t, x=x_half[::2], v=v_half[::2], a=a,
+                      runaway_flag=runaway, growth_rate=growth,
+                      fit_rate=fit_rate, fit_r2=fit_r2)
+
+
 def integrate_point_limit(sig: ForceSignal, model: ParticleModel, t_grid,
                           x0: float = 0.0, v0: float = 0.0,
                           rtol: float = 1e-8) -> Trajectory:
@@ -294,28 +309,13 @@ def integrate_point_limit(sig: ForceSignal, model: ParticleModel, t_grid,
     integrates again at half step and raises StepSizeError when the
     endpoints disagree beyond ``rtol`` of the position scale.
     """
-    t = _check_grid(t_grid)
     tau_e = model.tau_e
     M = model.M
 
-    def deriv(tk: float, y):
-        return [y[1], (sig.f(tk) + tau_e * sig.fdot(tk)) / M]
+    def accel(tk: float) -> float:
+        return (sig.f(tk) + tau_e * sig.fdot(tk)) / M
 
-    full, n_full = _rk4_path(deriv, t, [x0, v0], n_sub=1)
-    half, n_half = _rk4_path(deriv, t, [x0, v0], n_sub=2)
-    if n_full < len(t) or n_half < len(t):
-        raise StepSizeError("integration left the finite range (check the drive)")
-    scale = float(np.max(np.abs(half[:, 0]))) + 1e-300
-    if abs(full[-1, 0] - half[-1, 0]) > rtol * scale:
-        raise StepSizeError(
-            f"step too large: halving the step moves the endpoint by "
-            f"{abs(full[-1, 0] - half[-1, 0]):.3e} (> {rtol:g} of scale {scale:.3e})"
-        )
-    a = np.array([(sig.f(tk) + tau_e * sig.fdot(tk)) / M for tk in t])
-    runaway, growth, fit_rate, fit_r2 = _classify(t, a, tau_e)
-    return Trajectory(times=t, x=half[:, 0], v=half[:, 1], a=a,
-                      runaway_flag=runaway, growth_rate=growth,
-                      fit_rate=fit_rate, fit_r2=fit_r2)
+    return _integrate_known_acceleration(accel, t_grid, x0, v0, rtol, tau_e)
 
 
 def integrate_third_order(sig: ForceSignal, model: ParticleModel, t_grid,
@@ -399,24 +399,8 @@ def bounded_al_trajectory(sig: ForceSignal, model: ParticleModel, t_grid,
 
     The acceleration is a known smooth function of time (no state
     feedback), so the trajectory exists for all times and never runs away.
+    The step check is the one of ``integrate_point_limit``.
     """
-    t = _check_grid(t_grid)
-
-    def deriv(tk: float, y):
-        return [y[1], bounded_al_acceleration(sig, model, tk)]
-
-    full, n_full = _rk4_path(deriv, t, [x0, v0], n_sub=1)
-    half, n_half = _rk4_path(deriv, t, [x0, v0], n_sub=2)
-    if n_full < len(t) or n_half < len(t):
-        raise StepSizeError("integration left the finite range (check the drive)")
-    scale = float(np.max(np.abs(half[:, 0]))) + 1e-300
-    if abs(full[-1, 0] - half[-1, 0]) > rtol * scale:
-        raise StepSizeError(
-            f"step too large: halving the step moves the endpoint by "
-            f"{abs(full[-1, 0] - half[-1, 0]):.3e} (> {rtol:g} of scale {scale:.3e})"
-        )
-    a = np.array([bounded_al_acceleration(sig, model, tk) for tk in t])
-    runaway, growth, fit_rate, fit_r2 = _classify(t, a, model.tau_e)
-    return Trajectory(times=t, x=half[:, 0], v=half[:, 1], a=a,
-                      runaway_flag=runaway, growth_rate=growth,
-                      fit_rate=fit_rate, fit_r2=fit_r2)
+    return _integrate_known_acceleration(
+        lambda tk: bounded_al_acceleration(sig, model, tk), t_grid, x0, v0,
+        rtol, model.tau_e)

@@ -75,59 +75,6 @@ def oscillator_free_energy(omega: float, T: float,
     return kT * math.log1p(-math.exp(-x))
 
 
-def planck_energy_density(omega, T: float,
-                          constants: PhysicalConstants = DIMENSIONLESS):
-    """Thermal spectral energy density (hbar omega^3/pi^2 c^3)/(e^{hbar omega/kT}-1)."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    omega_arr = np.asarray(omega, dtype=float)
-    out = np.zeros_like(omega_arr)
-    if T > 0:
-        kT = constants.k_B * T
-        x = constants.hbar * omega_arr / kT
-        small = x <= 700.0
-        out[small] = (
-            constants.hbar * omega_arr[small] ** 3
-            / (math.pi ** 2 * constants.c ** 3)
-            / np.expm1(x[small])
-        )
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class WeltonIntegrand:
-    """Pieces of the naive fluctuating-field energy estimate.
-
-    An electron driven in one dimension by a field of amplitude E0 at
-    frequency omega stores W = e^2 E0^2 / (4 m omega^2); identifying
-    3 E0^2 / 8 pi with the thermal energy density u(omega, T) and summing
-    over modes gives the T^2 estimate that ``welton_energy`` integrates.
-    """
-
-    T: float
-    mass: float
-    constants: PhysicalConstants = DIMENSIONLESS
-
-    def u(self, omega):
-        """Thermal spectral energy density of the field."""
-        return planck_energy_density(omega, self.T, self.constants)
-
-    def E0(self, omega):
-        """Field amplitude with 3 E0^2/(8 pi) matching u(omega, T)."""
-        return np.sqrt(8.0 * math.pi * self.u(omega) / 3.0)
-
-    def W(self, omega):
-        """Stored oscillation energy per mode, (2 pi e^2 / 3 m omega^2) u."""
-        k = self.constants
-        omega_arr = np.asarray(omega, dtype=float)
-        out = 2.0 * math.pi * k.e ** 2 / (3.0 * self.mass * omega_arr ** 2) * self.u(omega_arr)
-        return float(out) if out.ndim == 0 else out
-
-    def __call__(self, omega):
-        """3D integrand: 3 W(omega)."""
-        return 3.0 * self.W(omega)
-
-
 def welton_closed_form(T: float, mass: float,
                        constants: PhysicalConstants = DIMENSIONLESS) -> float:
     """pi alpha_fs (kT)^2 / (3 m c^2)."""
@@ -140,8 +87,13 @@ def welton_energy(T: float, mass: float,
                   rtol: float = 1e-12) -> tuple[float, float]:
     """Naive 3D thermal energy of a field-driven electron, by quadrature.
 
-    Integrates 3 W(omega) over all frequencies; equals
-    pi alpha_fs (kT)^2 / (3 m c^2).  Returns (value, error estimate).
+    An electron driven in one dimension by a field of amplitude E0 at
+    frequency omega stores W = e^2 E0^2 / (4 m omega^2); identifying
+    3 E0^2 / 8 pi with the thermal spectral energy density
+    u = (hbar omega^3 / pi^2 c^3) / (e^{hbar omega/kT} - 1) gives
+    W = (2 pi e^2 / 3 m omega^2) u.  Integrates 3 W(omega) over all
+    frequencies; equals pi alpha_fs (kT)^2 / (3 m c^2).  Returns (value,
+    error estimate).
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -301,7 +253,12 @@ def bbr_shift_closed_form(T: float, model: ParticleModel,
 
 @dataclass(frozen=True)
 class FreeEnergyCurve:
-    """F(T) samples with optional decoupled baseline and quadrature errors."""
+    """F(T) samples with optional decoupled baseline and quadrature errors.
+
+    ``raw_shift`` holds F - baseline as the shift route computed it, before
+    the baseline was added back; at weak coupling it is far more accurate
+    than the difference of the two large numbers.
+    """
 
     temperatures: np.ndarray
     values: np.ndarray
@@ -309,6 +266,7 @@ class FreeEnergyCurve:
     errors: np.ndarray | None = None
     kernel_meta: dict = field(default_factory=dict)
     model_meta: dict = field(default_factory=dict)
+    raw_shift: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.temperatures, dtype=float)
@@ -319,7 +277,7 @@ class FreeEnergyCurve:
             raise ValueError("temperatures must be strictly increasing")
         object.__setattr__(self, "temperatures", t)
         object.__setattr__(self, "values", v)
-        for name in ("baseline", "errors"):
+        for name in ("baseline", "errors", "raw_shift"):
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr, dtype=float)
@@ -329,7 +287,9 @@ class FreeEnergyCurve:
 
     @property
     def shift(self) -> np.ndarray:
-        """values - baseline (zero baseline when none was recorded)."""
+        """raw_shift if recorded, else values - baseline (zero if none)."""
+        if self.raw_shift is not None:
+            return self.raw_shift.copy()
         if self.baseline is None:
             return self.values.copy()
         return self.values - self.baseline
@@ -355,27 +315,30 @@ def free_energy_curve(kernel: MemoryKernel, model: ParticleModel,
     """Sample F0(T) on a grid.  Each T is an independent pure computation.
 
     With ``use_shift_route`` the cancellation-free shift integral is evaluated
-    and the decoupled baseline f(omega_0, T) added back, which is the accurate
-    choice at weak coupling.
+    (kept as ``raw_shift``) and the decoupled baseline f(omega_0, T) added
+    back, which is the accurate choice at weak coupling.  ``rtol`` reaches
+    the quadrature of either route.
     """
     temps = np.asarray(temperatures, dtype=float)
     vals = np.empty_like(temps)
     errs = np.empty_like(temps)
     base = np.empty_like(temps)
+    shifts = np.empty_like(temps) if use_shift_route else None
     k = model.constants
     has_w0 = model.K > 0
     for i, T in enumerate(temps):
         base[i] = oscillator_free_energy(model.omega_0, T, k) if has_w0 and T > 0 else 0.0
         if use_shift_route:
-            sh, err = free_energy_shift(kernel, model, T, allow_acausal=allow_acausal)
-            vals[i] = base[i] + sh
+            shifts[i], errs[i] = free_energy_shift(kernel, model, T, rtol=rtol,
+                                                   allow_acausal=allow_acausal)
+            vals[i] = base[i] + shifts[i]
         else:
-            vals[i], err = coupled_free_energy(kernel, model, T, rtol=rtol,
-                                               allow_acausal=allow_acausal)
-        errs[i] = err
+            vals[i], errs[i] = coupled_free_energy(kernel, model, T, rtol=rtol,
+                                                   allow_acausal=allow_acausal)
     return FreeEnergyCurve(
         temperatures=temps, values=vals, baseline=base, errors=errs,
         kernel_meta=kernel.to_json(), model_meta=model.to_json(),
+        raw_shift=shifts,
     )
 
 

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from qlebath import load_ensemble, validate_config
+from qlebath import diffusion, load_ensemble, motion, validate_config
 from qlebath.cli import main as cli_main
 
 TAU_E_INVERSE = 1.0 / (2.0 * (1.0 / 137.036) / 3.0)  # dimensionless 1/tau_e
@@ -209,3 +209,31 @@ def test_electron_motion_point_limit_and_runaway_summary(tmp_path):
     result = json.loads((out / "electron_motion.json").read_text())["meta"]["result"]
     assert result["runaway"] is True
     assert result["growth_rate"] == pytest.approx(TAU_E_INVERSE, rel=1e-2)
+
+
+@pytest.mark.parametrize("command, module, function", [
+    ("diffusion", diffusion, "msd_curve"),
+    ("electron-motion", motion, "integrate_point_limit"),
+    ("electron-motion", motion, "bounded_al_trajectory"),
+], ids=["diffusion", "point-limit", "bounded-al"])
+def test_tolerance_reaches_the_computation(tmp_path, monkeypatch, command,
+                                           module, function):
+    original = getattr(module, function)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("rtol"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, function, recording)
+    data = dict(SMOKE_CASES[command][0])
+    if command == "electron-motion":
+        integrator = ("point-limit" if function == "integrate_point_limit"
+                      else "bounded-al")
+        data.update(integrator=integrator, model={"M": 1.0, "K": 0.0},
+                    grids={"t": {"start": 0.0, "stop": 8.0, "num": 401}})
+    rc, _ = run_cli(tmp_path, data)
+    assert rc == 0
+    rc, _ = run_cli(tmp_path, {**data, "tolerance": 1e-6}, out="loose")
+    assert rc == 0
+    assert seen == [1e-8, 1e-6]

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from qlebath import (
     DIMENSIONLESS,
     ParticleModel,
+    StepSizeError,
     bounded_al_acceleration,
     bounded_al_trajectory,
     characteristic_roots,
@@ -185,6 +186,16 @@ def test_characteristic_roots():
     assert len(characteristic_roots(point, variant="cutoff")) == 2
     with pytest.raises(ValueError):
         characteristic_roots(model, variant="nope")
+
+
+@pytest.mark.parametrize("integrate", [integrate_point_limit,
+                                       bounded_al_trajectory])
+def test_step_halving_guard(integrate):
+    model = free_model()
+    with pytest.raises(StepSizeError, match="step too large"):
+        integrate(sinusoid(1.0, 2.0), model, np.linspace(0.0, 8.0, 201))
+    traj = integrate(sinusoid(1.0, 2.0), model, np.linspace(0.0, 8.0, 401))
+    assert len(traj.x) == 401
 
 
 def test_time_grid_validation():

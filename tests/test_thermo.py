@@ -163,6 +163,17 @@ def test_curve_shift_property_and_metadata():
     assert curve.model_meta["K"] == 1.0
 
 
+def test_shift_route_curve_honours_rtol():
+    kernel = OhmicKernel(gamma=0.1)
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
+    temps = np.linspace(0.5, 2.0, 4)
+    rtol = 1e-6
+    curve = free_energy_curve(kernel, model, temps, rtol=rtol,
+                              use_shift_route=True)
+    for T, err, shift in zip(temps, curve.errors, curve.shift):
+        assert (shift, err) == free_energy_shift(kernel, model, T, rtol=rtol)
+
+
 def test_quadratic_fit_recovers_exact_coefficient():
     temps = np.linspace(0.1, 10.0, 20)
     assert fit_quadratic_coefficient(temps, 3.7 * temps ** 2) == pytest.approx(
