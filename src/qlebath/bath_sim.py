@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._grid import check_time_grid
 from .errors import GridError, InsufficientStatisticsError
 from .kernels import MemoryKernel
 from .response import ParticleModel
@@ -149,17 +150,6 @@ class Ensemble:
         return self.x.shape[0]
 
 
-def _check_time_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise GridError("time grid must be 1-D with at least two points")
-    if not np.all(np.isfinite(t)) or t[0] < 0:
-        raise GridError("time grid must be finite and nonnegative")
-    if not np.all(np.diff(t) > 0):
-        raise GridError("time grid must be strictly increasing")
-    return t
-
-
 def _propagators(t, lam, row, basis=None):
     """Exact propagators of one observable of an undamped linear system.
 
@@ -199,7 +189,9 @@ def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
     does not depend on execution order.
     """
     m, w, c = _bath_arrays(oscillators)
-    t = _check_time_grid(t_grid)
+    t = check_time_grid(t_grid)
+    if t[0] < 0:
+        raise GridError("time grid must be nonnegative")
     if not (T >= 0 and math.isfinite(T)):
         raise ValueError("temperature must be >= 0 and finite")
     if not (isinstance(n_traj, (int, np.integer)) and n_traj >= 1):

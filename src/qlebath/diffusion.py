@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
+from ._grid import check_time_grid
 from .errors import AcausalModelError, FitError, GridError, QuadratureError
 from .kernels import BlackbodyKernel, MemoryKernel
 from .response import ParticleModel, denominator_closure
@@ -52,17 +53,6 @@ def _coth(x: float) -> float:
     if x > 19.0:
         return 1.0
     return 1.0 / math.tanh(x)
-
-
-def _check_times(times) -> np.ndarray:
-    arr = np.asarray(times, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise GridError("time grid must be 1-D with at least two points")
-    if not np.all(np.isfinite(arr)) or arr[0] < 0:
-        raise GridError("time grid must be finite and nonnegative")
-    if not np.all(np.diff(arr) > 0):
-        raise GridError("time grid must be strictly increasing")
-    return arr
 
 
 def _weighted_im_alpha(kernel: MemoryKernel, model: ParticleModel,
@@ -126,7 +116,7 @@ def msd(kernel: MemoryKernel, model: ParticleModel, T: float, t: float,
     if isinstance(kernel, BlackbodyKernel) and not model.is_causal:
         raise AcausalModelError(
             "mean-square displacement is undefined for an acausal model "
-            f"(Omega = {model.Omega:.6g} >= 1/tau_e = {1.0 / model.tau_e:.6g})")
+            f"(Omega = {model.Omega:.6g} > 1/tau_e = {1.0 / model.tau_e:.6g})")
     use_classical = _resolve_classical(kernel, model, T, classical)
     if t == 0.0:
         return 0.0
@@ -261,7 +251,9 @@ def msd_curve(kernel: MemoryKernel, model: ParticleModel, T: float,
     """
     if times is None:
         times = np.geomspace(10.0 / kernel.scale, 100.0 / kernel.scale, 21)
-    t_arr = _check_times(times)
+    t_arr = check_time_grid(times)
+    if t_arr[0] < 0:
+        raise GridError("time grid must be nonnegative")
     values = np.array([msd(kernel, model, T, float(t), classical=classical,
                            rtol=rtol) for t in t_arr])
     p, A, stderr, residual, _ = _tail_power_fit(t_arr, values)

@@ -21,7 +21,7 @@ class PoleEvaluationError(QlebathError):
 
 
 class AcausalModelError(QlebathError):
-    """Operation requires a causal model (bare mass > 0) and none was given."""
+    """Operation requires a causal model (bare mass >= 0) and none was given."""
 
 
 class StepSizeError(QlebathError):
@@ -49,4 +49,4 @@ class ConfigError(QlebathError):
 
 
 class AcausalCutoffWarning(UserWarning):
-    """Cutoff frequency at or above the runaway threshold: bare mass <= 0."""
+    """Cutoff frequency above the runaway threshold: bare mass < 0."""

@@ -25,8 +25,9 @@ The point-limit and bounded solutions have an acceleration that is an
 explicit function of time, so both go through one RK4 path with no state
 feedback: a(t) is sampled once at the quarter points of each grid interval,
 the paths at the grid step and at half of it are running sums, and their
-endpoint disagreement is the step check.  Only the third-order equations
-feed the state back and are stepped by generic RK4 with substeps.
+endpoint disagreement is the step check.  The third-order equations are
+linear, so an RK4 substep maps a to r a + g, and x, v are the same running
+sums over the stage values of a.  Drives are sampled on arrays of times.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._grid import check_time_grid
 from .errors import StepSizeError
 from .response import ParticleModel
 
@@ -44,33 +46,27 @@ _VARIANTS = ("cutoff", "abraham_lorentz")
 _MAX_INTERNAL_STEPS = 2_000_000
 _RUNAWAY_RATE_FACTOR = 1e-3  # flag when fitted rate > this / tau_e
 _RUNAWAY_R2 = 0.99
+_BLOCK_SUBSTEPS = 8192  # third-order substeps per block: bounds the working set
 
 
 @dataclass(frozen=True)
 class ForceSignal:
     """A drive f(t) with its analytic derivative.
 
-    ``fdot`` must be the derivative of ``f``.  ``fddot``, an optional second
-    derivative, is carried along for callers; no integrator reads it.
+    ``f`` and ``fdot`` map a float64 array of times to values of its shape
+    (scalars work too), and ``fdot`` must be the derivative of ``f``.
+    ``fddot``, an optional second derivative, is kept for callers only.
     """
 
-    f: Callable[[float], float]
-    fdot: Callable[[float], float]
-    fddot: Callable[[float], float] | None = None
+    f: Callable[[np.ndarray], np.ndarray]
+    fdot: Callable[[np.ndarray], np.ndarray]
+    fddot: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
 
 
 def zero_force() -> ForceSignal:
-    return ForceSignal(f=lambda t: 0.0, fdot=lambda t: 0.0, name="zero")
-
-
-def _smoothstep(u: float) -> float:
-    # Quintic smoothstep: C^2, s(0)=0, s(1)=1, s'=s''=0 at both ends.
-    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
-def _smoothstep_d1(u: float) -> float:
-    return 30.0 * u * u * (1.0 - u) ** 2
+    return ForceSignal(f=lambda t: np.zeros(np.shape(t)),
+                       fdot=lambda t: np.zeros(np.shape(t)), name="zero")
 
 
 def constant_with_ramp(f0: float, t_ramp: float) -> ForceSignal:
@@ -83,17 +79,15 @@ def constant_with_ramp(f0: float, t_ramp: float) -> ForceSignal:
     if t_ramp <= 0:
         raise ValueError("t_ramp must be > 0")
 
-    def f(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        if t >= t_ramp:
-            return f0
-        return f0 * _smoothstep(t / t_ramp)
+    # Quintic smoothstep of u = t / t_ramp clipped to [0, 1]: C^2, exactly 0
+    # and f0 outside the ramp, with s' = s'' = 0 at both ends.
+    def f(t):
+        u = np.clip(np.asarray(t, dtype=float) / t_ramp, 0.0, 1.0)
+        return f0 * (u * u * u * (10.0 + u * (-15.0 + 6.0 * u)))
 
-    def fdot(t: float) -> float:
-        if t <= 0.0 or t >= t_ramp:
-            return 0.0
-        return f0 * _smoothstep_d1(t / t_ramp) / t_ramp
+    def fdot(t):
+        u = np.clip(np.asarray(t, dtype=float) / t_ramp, 0.0, 1.0)
+        return f0 * (30.0 * u * u * (1.0 - u) ** 2) / t_ramp
 
     return ForceSignal(f=f, fdot=fdot, name="ramped_constant")
 
@@ -103,8 +97,8 @@ def sinusoid(f0: float, omega_d: float) -> ForceSignal:
     if omega_d <= 0:
         raise ValueError("omega_d must be > 0")
     return ForceSignal(
-        f=lambda t: f0 * math.sin(omega_d * t),
-        fdot=lambda t: f0 * omega_d * math.cos(omega_d * t),
+        f=lambda t: f0 * np.sin(omega_d * np.asarray(t, dtype=float)),
+        fdot=lambda t: f0 * omega_d * np.cos(omega_d * np.asarray(t, dtype=float)),
         name="sinusoid",
     )
 
@@ -114,11 +108,11 @@ def gaussian_pulse(f0: float, t0: float, sigma: float) -> ForceSignal:
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
 
-    def f(t: float) -> float:
-        return f0 * math.exp(-0.5 * ((t - t0) / sigma) ** 2)
+    def f(t):
+        return f0 * np.exp(-0.5 * ((np.asarray(t, dtype=float) - t0) / sigma) ** 2)
 
-    def fdot(t: float) -> float:
-        return -f(t) * (t - t0) / sigma ** 2
+    def fdot(t):
+        return -f(t) * (np.asarray(t, dtype=float) - t0) / sigma ** 2
 
     return ForceSignal(f=f, fdot=fdot, name="gaussian_pulse")
 
@@ -178,49 +172,6 @@ def characteristic_roots(model: ParticleModel, variant: str = "cutoff") -> list[
     return [0j, 0j, complex(-1.0 / eps)]
 
 
-def _check_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 2:
-        raise ValueError("t_grid must be a 1D array with at least 2 points")
-    if not np.all(np.diff(t) > 0):
-        raise ValueError("t_grid must be strictly increasing")
-    return t
-
-
-def _rk4_path(deriv, t: np.ndarray, y0: list[float], n_sub: int):
-    """Classic RK4 over the grid with n_sub substeps per interval.
-
-    Returns (samples, n_good): samples[i] is the state at t[i]; integration
-    stops early (n_good < len(t)) if the state stops being finite.
-    """
-    dim = len(y0)
-    out = np.empty((len(t), dim))
-    y = [float(c) for c in y0]
-    out[0] = y
-    n_good = 1
-    for i in range(len(t) - 1):
-        h = (t[i + 1] - t[i]) / n_sub
-        ti = t[i]
-        for k in range(n_sub):
-            tk = ti + k * h
-            k1 = deriv(tk, y)
-            y1 = [y[j] + 0.5 * h * k1[j] for j in range(dim)]
-            k2 = deriv(tk + 0.5 * h, y1)
-            y2 = [y[j] + 0.5 * h * k2[j] for j in range(dim)]
-            k3 = deriv(tk + 0.5 * h, y2)
-            y3 = [y[j] + h * k3[j] for j in range(dim)]
-            k4 = deriv(tk + h, y3)
-            y = [
-                y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-                for j in range(dim)
-            ]
-        if not all(math.isfinite(c) for c in y):
-            break
-        out[n_good] = y
-        n_good += 1
-    return out, n_good
-
-
 def _fit_log_growth(times: np.ndarray, a: np.ndarray):
     """Least-squares slope and R^2 of log|a| over the final third."""
     n = len(times)
@@ -253,16 +204,17 @@ def _classify(times: np.ndarray, a: np.ndarray, tau_e: float):
     return bool(runaway), growth, fit_rate, fit_r2
 
 
-def _rk4_known(h: np.ndarray, a0: np.ndarray, am: np.ndarray,
-               a1: np.ndarray, x0: float, v0: float):
-    """RK4 for xdd = a(t) over steps h, from a at each step's start, middle, end.
+def _rk4_known(h: np.ndarray, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray,
+               a4: np.ndarray, x0: float, v0: float):
+    """RK4 x and v paths over steps h, given the acceleration at the four stages.
 
-    With no state feedback the RK4 update collapses to
-    v += h/6 (a0 + 4 am + a1) and x += h v + h^2/6 (a0 + 2 am), so the whole
-    path is two running sums.
+    The RK4 update of (x, v) with x' = v, v' = a is
+    v += h/6 (a1 + 2 a2 + 2 a3 + a4) and x += h v + h^2/6 (a1 + a2 + a3), so
+    the whole path is two running sums.  For a known a(t) the stages are
+    (a0, a_mid, a_mid, a1).
     """
-    v = np.cumsum(np.concatenate(([v0], h / 6.0 * (a0 + 4.0 * am + a1))))
-    dx = h * v[:-1] + h * h / 6.0 * (a0 + 2.0 * am)
+    v = np.cumsum(np.concatenate(([v0], h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4))))
+    dx = h * v[:-1] + h * h / 6.0 * (a1 + a2 + a3)
     return np.cumsum(np.concatenate(([x0], dx))), v
 
 
@@ -276,14 +228,15 @@ def _integrate_known_acceleration(accel, t_grid, x0: float, v0: float,
     leaves the finite range or when the two endpoints disagree beyond
     ``rtol`` of the position scale.
     """
-    t = _check_grid(t_grid)
+    t = check_time_grid(t_grid)
     h = np.diff(t)
     quarters = t[:-1, None] + h[:, None] * np.array([0.0, 0.25, 0.5, 0.75])
-    samples = np.array([accel(tk) for tk in np.append(quarters.ravel(), t[-1])])
+    samples = accel(np.append(quarters.ravel(), t[-1]))
     x_full, v_full = _rk4_known(h, samples[0:-1:4], samples[2::4],
-                                samples[4::4], x0, v0)
+                                samples[2::4], samples[4::4], x0, v0)
     x_half, v_half = _rk4_known(np.repeat(0.5 * h, 2), samples[0:-1:2],
-                                samples[1::2], samples[2::2], x0, v0)
+                                samples[1::2], samples[1::2], samples[2::2],
+                                x0, v0)
     if not all(np.all(np.isfinite(p)) for p in (x_full, v_full, x_half, v_half)):
         raise StepSizeError("integration left the finite range (check the drive)")
     scale = float(np.max(np.abs(x_half))) + 1e-300
@@ -299,6 +252,58 @@ def _integrate_known_acceleration(accel, t_grid, x0: float, v0: float,
                       fit_rate=fit_rate, fit_r2=fit_r2)
 
 
+def _third_order_path(source, q: float, t: np.ndarray, n_sub: int,
+                      x: float, v: float, a: float):
+    """Classic RK4 for x' = v, v' = a, a' = q a + source(t) with n_sub
+    substeps per grid interval, in blocks of _BLOCK_SUBSTEPS substeps.
+
+    A substep of size h maps a to r a + g, r = 1 + z + z^2/2 + z^3/6 + z^4/24
+    (z = q h), g its value from a = 0: the only sequential loop.  The stage
+    values are arrays and x, v running sums (``_rk4_known``).  Returns the
+    (x, v, a) samples at t and n_good, which stops before the first grid
+    point where the state is not finite."""
+    out = np.empty((len(t), 3))
+    out[0] = x, v, a
+    a = float(a)  # a Python float overflows to inf without a warning
+    h_int = np.diff(t) / n_sub
+    r_int = np.polyval([1.0 / 24.0, 1.0 / 6.0, 0.5, 1.0, 1.0], q * h_int)
+    n_steps = n_sub * len(h_int)
+    for k0 in range(0, n_steps, _BLOCK_SUBSTEPS):
+        k1 = min(k0 + _BLOCK_SUBSTEPS, n_steps)
+        # interval of each substep start (and of the block's end), place in it
+        i, j = np.divmod(np.arange(k0, k1 + 1), n_sub)
+        h_all = h_int[np.minimum(i, len(h_int) - 1)]
+        starts, h = t[i] + j * h_all, h_all[:-1]
+        s = source(np.concatenate((starts, starts[:-1] + 0.5 * h)))
+        s0, s1, sm = s[:k1 - k0], s[1:k1 - k0 + 1], s[k1 - k0 + 1:]
+        k2 = q * (0.5 * h * s0) + sm
+        k3 = q * (0.5 * h * k2) + sm
+        g = (h / 6.0 * (s0 + 2.0 * k2 + 2.0 * k3 + q * (h * k3) + s1)).tolist()
+        # r is constant within an interval: one inner loop per interval
+        cuts = (np.flatnonzero(np.diff(i[:-1])) + 1).tolist()
+        a_starts = []
+        for rk, lo, hi in zip(r_int[i[[0] + cuts]].tolist(), [0] + cuts,
+                              cuts + [len(g)]):
+            for gk in g[lo:hi]:
+                a_starts.append(a)
+                a = rk * a + gk
+        with np.errstate(over="ignore", invalid="ignore"):
+            a1 = np.fromiter(a_starts, float, len(a_starts))
+            a2 = a1 + 0.5 * h * (q * a1 + s0)
+            a3 = a1 + 0.5 * h * (q * a2 + sm)
+            a4 = a1 + h * (q * a3 + sm)
+            xs, vs = _rk4_known(h, a1, a2, a3, a4, x, v)
+        on_grid = np.flatnonzero(j[1:] == 0) + 1  # block points on the grid
+        block = np.column_stack((xs, vs, np.append(a1, a)))[on_grid]
+        # the rows before the first one that is not finite
+        n_ok = int(np.argmin(np.append(np.isfinite(block).all(axis=1), False)))
+        out[i[on_grid[:n_ok]]] = block[:n_ok]
+        if n_ok < len(block):
+            return out, int(i[on_grid[n_ok]])
+        x, v = xs[-1], vs[-1]
+    return out, len(t)
+
+
 def integrate_point_limit(sig: ForceSignal, model: ParticleModel, t_grid,
                           x0: float = 0.0, v0: float = 0.0,
                           rtol: float = 1e-8) -> Trajectory:
@@ -312,8 +317,8 @@ def integrate_point_limit(sig: ForceSignal, model: ParticleModel, t_grid,
     tau_e = model.tau_e
     M = model.M
 
-    def accel(tk: float) -> float:
-        return (sig.f(tk) + tau_e * sig.fdot(tk)) / M
+    def accel(t: np.ndarray) -> np.ndarray:
+        return (sig.f(t) + tau_e * sig.fdot(t)) / M
 
     return _integrate_known_acceleration(accel, t_grid, x0, v0, rtol, tau_e)
 
@@ -333,9 +338,8 @@ def integrate_third_order(sig: ForceSignal, model: ParticleModel, t_grid,
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
-    t = _check_grid(t_grid)
+    t = check_time_grid(t_grid)
     tau_e = model.tau_e
-    M = model.M
 
     if variant == "cutoff":
         inv_Om = 1.0 / model.Omega
@@ -346,11 +350,8 @@ def integrate_third_order(sig: ForceSignal, model: ParticleModel, t_grid,
         inv_Om = 0.0
         eps = -tau_e
 
-    Meps = M * eps
-
-    def deriv(tk: float, y):
-        f_eff = sig.f(tk) + inv_Om * sig.fdot(tk)
-        return [y[1], y[2], (f_eff - M * y[2]) / Meps]
+    def source(tk: np.ndarray) -> np.ndarray:
+        return (sig.f(tk) + inv_Om * sig.fdot(tk)) / (model.M * eps)
 
     h = float(np.max(np.diff(t)))
     n_sub = max(1, math.ceil(h / (0.2 * abs(eps))))
@@ -360,7 +361,7 @@ def integrate_third_order(sig: ForceSignal, model: ParticleModel, t_grid,
             f"stiff rate 1/|1/Omega - tau_e| = {1.0 / abs(eps):.3e}; refine "
             "or shorten the grid"
         )
-    path, n_good = _rk4_path(deriv, t, [x0, v0, a0], n_sub=n_sub)
+    path, n_good = _third_order_path(source, -1.0 / eps, t, n_sub, x0, v0, a0)
     truncated = n_good < len(t)
     t_used = t[:n_good]
     x, v, a = path[:n_good, 0], path[:n_good, 1], path[:n_good, 2]
@@ -377,19 +378,16 @@ def integrate_third_order(sig: ForceSignal, model: ParticleModel, t_grid,
 _LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(48)
 
 
-def bounded_al_acceleration(sig: ForceSignal, model: ParticleModel,
-                            t: float) -> float:
-    """The runaway-free Abraham-Lorentz acceleration at time t.
+def bounded_al_acceleration(sig: ForceSignal, model: ParticleModel, t):
+    """The runaway-free Abraham-Lorentz acceleration at time(s) t.
 
     a(t) = (1/M) int_0^inf e^{-u} f(t + u tau_e) du, evaluated with 48-node
     Gauss-Laguerre quadrature (exact for polynomial drives of degree < 96,
     and accurate to machine precision for slow drives omega tau_e << 1).
+    t may be a scalar or an array; the result has its shape.
     """
-    tau_e = model.tau_e
-    total = 0.0
-    for u, w in zip(_LAGUERRE_NODES, _LAGUERRE_WEIGHTS):
-        total += w * sig.f(t + u * tau_e)
-    return total / model.M
+    nodes = np.add.outer(t, _LAGUERRE_NODES * model.tau_e)
+    return sig.f(nodes) @ _LAGUERRE_WEIGHTS / model.M
 
 
 def bounded_al_trajectory(sig: ForceSignal, model: ParticleModel, t_grid,

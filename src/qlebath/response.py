@@ -60,7 +60,7 @@ class ParticleModel:
 
     @property
     def m_bare(self) -> float:
-        """Bare mass M (1 - tau_e Omega); emits AcausalCutoffWarning if <= 0."""
+        """Bare mass M (1 - tau_e Omega); emits AcausalCutoffWarning if < 0."""
         return bare_mass(self.M, self.Omega, self.constants)
 
     @property
@@ -70,8 +70,8 @@ class ParticleModel:
 
     @property
     def is_causal(self) -> bool:
-        """True when Omega < 1/tau_e, keeping the bare mass positive."""
-        return self.Omega * self.tau_e < 1.0
+        """True when Omega <= 1/tau_e (bare mass >= 0): the point limit is causal."""
+        return self.Omega * self.tau_e <= 1.0
 
     @classmethod
     def point_limit(cls, M: float, K: float,
@@ -98,16 +98,17 @@ def bare_mass(M: float, Omega: float,
               constants: PhysicalConstants = DIMENSIONLESS) -> float:
     """Bare mass m = M (1 - tau_e Omega); exact inverse of renormalize_mass.
 
-    Warns (AcausalCutoffWarning) when the result is <= 0, i.e. the cutoff is
-    at or above 1/tau_e: the model then has a runaway pole in the upper half
-    plane.  Callers may proceed for demonstration runs; the sign of the
-    returned mass carries the flag.
+    Warns (AcausalCutoffWarning) when the result is < 0, i.e. the cutoff is
+    above 1/tau_e: the model then has a runaway pole in the upper half
+    plane (the point limit Omega = 1/tau_e gives m = 0 and is causal).
+    Callers may proceed for demonstration runs; the sign of the returned
+    mass carries the flag.
     """
     tau_e = 2.0 * constants.e ** 2 / (3.0 * M * constants.c ** 3)
     m = M * (1.0 - tau_e * Omega)
-    if m <= 0:
+    if m < 0:
         warnings.warn(
-            f"bare mass {m:.6g} <= 0 at Omega = {Omega:.6g} >= 1/tau_e = "
+            f"bare mass {m:.6g} < 0 at Omega = {Omega:.6g} > 1/tau_e = "
             f"{1.0 / tau_e:.6g}: model is acausal (runaway pole)",
             AcausalCutoffWarning,
             stacklevel=2,

@@ -142,7 +142,7 @@ def _require_causal_or_override(kernel: MemoryKernel, model: ParticleModel,
                                 allow_acausal: bool) -> None:
     if isinstance(kernel, BlackbodyKernel) and not model.is_causal and not allow_acausal:
         raise AcausalModelError(
-            f"cutoff Omega = {model.Omega:.6g} >= 1/tau_e = {1.0 / model.tau_e:.6g} "
+            f"cutoff Omega = {model.Omega:.6g} > 1/tau_e = {1.0 / model.tau_e:.6g} "
             "puts a runaway pole in the upper half plane; pass allow_acausal=True "
             "to integrate the real-axis formulas anyway"
         )

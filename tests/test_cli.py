@@ -130,6 +130,18 @@ def test_acausal_thermo_without_override_is_a_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerical:")
 
 
+def test_blackbody_shift_at_the_default_point_limit_runs(tmp_path):
+    # the default model sits at Omega = 1/tau_e, the largest causal cutoff
+    data = {"command": "shift", "kernel": {"variant": "blackbody"},
+            "grids": {"T": {"start": 0.1, "stop": 10.0, "num": 5,
+                            "spacing": "log"}}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0
+    rows = read_rows(out / "shift.csv")
+    assert len(rows) == 6
+    assert all(math.isfinite(float(cell)) for cell in rows[1])
+
+
 def test_unwritable_output_directory_is_an_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

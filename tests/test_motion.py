@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from qlebath import (
     DIMENSIONLESS,
+    GridError,
     ParticleModel,
     StepSizeError,
     bounded_al_acceleration,
@@ -20,6 +21,7 @@ from qlebath import (
     sinusoid,
     zero_force,
 )
+from qlebath import motion
 
 TAU_E = ParticleModel(M=1.0, K=0.0001, Omega=1.0).tau_e  # 2 alpha_fs / 3
 
@@ -200,7 +202,164 @@ def test_step_halving_guard(integrate):
 
 def test_time_grid_validation():
     model = free_model()
-    with pytest.raises(ValueError):
+    with pytest.raises(GridError, match="strictly increasing"):
         integrate_point_limit(zero_force(), model, [1.0, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(GridError, match="two points"):
         integrate_third_order(zero_force(), model, [0.0], variant="cutoff")
+    with pytest.raises(GridError, match="finite"):
+        bounded_al_trajectory(zero_force(), model, [0.0, 1.0, math.inf])
+
+
+def _sinusoid_cutoff_solution(f0, w, model, t, a0):
+    """Closed form of M (1/Omega - tau_e) xddd + M xdd = f + fdot/Omega for
+    f = f0 sin(w t) from x = v = 0: the particular solution
+    C sin(wt) + D cos(wt) plus (a0 - D) e^{qt}, q = -1/(1/Omega - tau_e)."""
+    eps = 1.0 / model.Omega - model.tau_e
+    q = -1.0 / eps
+    A = f0 / (model.M * eps)                    # s(t) = A sin + B cos
+    B = A * w / model.Omega
+    C = (B * w - q * A) / (w * w + q * q)
+    D = -(A * w + q * B) / (w * w + q * q)
+    E = a0 - D                                  # weight of e^{qt}
+    grow = np.expm1(q * t)
+    a = C * np.sin(w * t) + D * np.cos(w * t) + E * (grow + 1.0)
+    v = C * (1.0 - np.cos(w * t)) / w + D * np.sin(w * t) / w + E * grow / q
+    x = (C * (t - np.sin(w * t) / w) / w + D * (1.0 - np.cos(w * t)) / w ** 2
+         + E * (grow - q * t) / q ** 2)
+    return x, v, a
+
+
+@pytest.mark.parametrize("ratio, stop, num", [
+    (0.9, 8.0, 401),        # near the point limit: ~185 substeps per interval
+    (2.0, 2.5 * TAU_E, 1001),  # acausal: e^{qt} grows by e^5
+], ids=["near-limit", "acausal"])
+def test_driven_cutoff_matches_the_closed_form(ratio, stop, num):
+    f0, w, a0 = 1.3, 1.7, 0.4
+    model = free_model(Omega=ratio / TAU_E)
+    t = np.linspace(0.0, stop, num)
+    eps = 1.0 / model.Omega - model.tau_e
+    n_sub = math.ceil((t[1] - t[0]) / (0.2 * abs(eps)))
+    assert (n_sub > 100) == (ratio < 1.0)
+    traj = integrate_third_order(sinusoid(f0, w), model, t, a0=a0,
+                                 variant="cutoff")
+    assert len(traj.times) == num
+    assert traj.runaway_flag == (ratio > 1.0)
+    for got, want in zip((traj.x, traj.v, traj.a),
+                         _sinusoid_cutoff_solution(f0, w, model, t, a0)):
+        assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("block", [1, 7, 500])
+def test_third_order_blocks_leave_the_path_unchanged(monkeypatch, block):
+    # blocks smaller than an interval's substeps, and ending mid-interval,
+    # must give the same path bit for bit, truncation included
+    runs = [(free_model(Omega=0.9 / TAU_E), np.linspace(0.0, 0.2, 11),
+             "cutoff"),
+            (free_model(), np.linspace(0.0, 1000.0 * TAU_E, 401),
+             "abraham_lorentz")]
+    sig = gaussian_pulse(1.2, 0.1, 0.05)
+    default = [integrate_third_order(sig, model, t, a0=0.5, variant=variant)
+               for model, t, variant in runs]
+    monkeypatch.setattr(motion, "_BLOCK_SUBSTEPS", block)
+    for (model, t, variant), want in zip(runs, default):
+        got = integrate_third_order(sig, model, t, a0=0.5, variant=variant)
+        for name in ("times", "x", "v", "a"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.runaway_flag == want.runaway_flag
+
+
+def test_abraham_lorentz_overflow_truncates_as_a_runaway():
+    model = free_model()
+    t = np.linspace(0.0, 1000.0 * model.tau_e, 401)
+    traj = integrate_third_order(zero_force(), model, t, a0=1.0,
+                                 variant="abraham_lorentz")
+    # a = e^{t/tau_e} leaves the float range at t = 709.8 tau_e
+    assert 700.0 * model.tau_e < traj.times[-1] < 710.0 * model.tau_e
+    assert len(traj.times) < len(t)
+    assert np.all(np.isfinite(traj.a)) and np.all(np.isfinite(traj.x))
+    assert traj.runaway_flag
+    assert traj.growth_rate is not None and not math.isnan(traj.growth_rate)
+
+
+DRIVES = [zero_force(), constant_with_ramp(-1.5, 2.0), sinusoid(0.8, 1.3),
+          gaussian_pulse(1.2, 3.0, 0.6)]
+DRIVE_IDS = ["zero", "ramp", "sinusoid", "pulse"]
+
+
+@pytest.mark.parametrize("sig", DRIVES, ids=DRIVE_IDS)
+def test_drives_on_arrays_match_pointwise_evaluation(sig):
+    t = np.linspace(-1.0, 6.0, 57)
+    for fn in (sig.f, sig.fdot):
+        values = fn(t)
+        assert values.dtype == np.float64 and values.shape == t.shape
+        np.testing.assert_allclose(values, [float(fn(tk)) for tk in t],
+                                   rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("sig", DRIVES, ids=DRIVE_IDS)
+def test_bounded_acceleration_on_arrays_matches_pointwise(sig):
+    model = free_model()
+    t = np.linspace(-1.0, 6.0, 57)
+    nodes, weights = np.polynomial.laguerre.laggauss(48)
+    loop = [sum(w * float(sig.f(tk + u * model.tau_e))
+                for u, w in zip(nodes, weights)) / model.M for tk in t]
+    values = bounded_al_acceleration(sig, model, t)
+    assert values.shape == t.shape
+    # 48-term sums in another order: a few ulp of the largest term
+    atol = 1e-14 * max(np.max(np.abs(loop)), 1e-300)
+    np.testing.assert_allclose(values, loop, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(
+        [float(bounded_al_acceleration(sig, model, tk)) for tk in t], loop,
+        rtol=0.0, atol=atol)
+
+
+def _generic_rk4(sig, model, t, y, variant):
+    """Classic RK4 on (x, v, a) with scalar drive calls, one substep at a
+    time, with the integrator's substep rule: the reference for the array
+    path."""
+    inv_om = 1.0 / model.Omega if variant == "cutoff" else 0.0
+    eps = inv_om - model.tau_e
+    n_sub = max(1, math.ceil(np.max(np.diff(t)) / (0.2 * abs(eps))))
+
+    def deriv(tk, y):
+        s = (float(sig.f(tk)) + inv_om * float(sig.fdot(tk))) / (model.M * eps)
+        return np.array([y[1], y[2], s - y[2] / eps])
+
+    out = [np.array(y, dtype=float)]
+    for t0, t1 in zip(t[:-1], t[1:]):
+        h, y = (t1 - t0) / n_sub, out[-1]
+        for k in range(n_sub):
+            tk = t0 + k * h
+            k1 = deriv(tk, y)
+            k2 = deriv(tk + 0.5 * h, y + 0.5 * h * k1)
+            k3 = deriv(tk + 0.5 * h, y + 0.5 * h * k2)
+            k4 = deriv(tk + h, y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("sig", DRIVES, ids=DRIVE_IDS)
+@pytest.mark.parametrize("ratio, variant, grid", [
+    (0.9, "cutoff", np.linspace(0.0, 0.5, 21)),
+    (0.3, "cutoff", np.geomspace(1e-2, 1.0, 61)),
+    (3.0, "cutoff", np.linspace(0.0, 8.0 * TAU_E, 41)),
+    (None, "abraham_lorentz", np.geomspace(0.1 * TAU_E, 15.0 * TAU_E, 61)),
+], ids=["near-limit", "causal-log-grid", "acausal", "abraham-lorentz"])
+def test_third_order_matches_generic_rk4(sig, ratio, variant, grid):
+    model = free_model() if ratio is None else free_model(Omega=ratio / TAU_E)
+    traj = integrate_third_order(sig, model, grid, x0=0.2, v0=-0.4, a0=0.7,
+                                 variant=variant)
+    for got, want in zip((traj.x, traj.v, traj.a),
+                         _generic_rk4(sig, model, grid, [0.2, -0.4, 0.7], variant)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_ramp_is_exact_outside_the_ramp():
+    f0, t_ramp = -1.5, 2.0
+    sig = constant_with_ramp(f0, t_ramp)
+    before = np.array([-5.0, -1e-300, 0.0])
+    after = np.array([t_ramp, t_ramp + 1e-12, 50.0])
+    assert np.all(sig.f(before) == 0.0) and np.all(sig.fdot(before) == 0.0)
+    assert np.all(sig.f(after) == f0) and np.all(sig.fdot(after) == 0.0)
+    assert sig.f(1.0) == pytest.approx(0.5 * f0, rel=1e-15)

@@ -1,20 +1,26 @@
 """Invariants checked over random inputs drawn by hypothesis."""
 
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qlebath import (
     DIMENSIONLESS,
     AcausalCutoffWarning,
     BlackbodyKernel,
+    Ensemble,
     OhmicKernel,
     ParticleModel,
     PhysicalConstants,
     SingleRelaxationKernel,
+    dump_ensemble,
+    load_ensemble,
     poles_and_causality,
 )
 
@@ -71,10 +77,48 @@ def test_pole_verdict_matches_the_causal_cutoff_bound(M, K, ratio):
     assert report.causal == model.is_causal
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "Omega tau_e rounds to exactly 1 at the point limit, where is_causal "
-    "(Omega tau_e < 1) says acausal while every pole is causal"))
-def test_point_limit_verdict_matches_the_poles():
-    model = ParticleModel.point_limit(1.0, 1.0)
+@pytest.mark.parametrize("M", [0.5, 0.7, 1.0, 1.3, 2.0, 3.7])
+def test_point_limit_verdict_matches_the_poles(M):
+    # Omega tau_e rounds to exactly 1 here: the largest causal cutoff
+    model = ParticleModel.point_limit(M, 1.0)
     assert poles_and_causality(model.kernel(), model).causal
     assert model.is_causal
+
+
+@st.composite
+def ensembles(draw):
+    n_traj = draw(st.integers(1, 6))
+    n_times = draw(st.integers(2, 60))
+    dt = draw(log_uniform(-6, 3))
+    # t0 up to 1e5 steps: the grid stays uniform to the dump's 1e-9 check
+    t0 = dt * draw(st.just(0.0) | st.floats(0.0, 1e5))
+    block = hnp.arrays(np.float64, (n_traj, n_times),
+                       elements=st.floats(allow_nan=True, allow_infinity=True))
+    return Ensemble(times=t0 + dt * np.arange(n_times), x=draw(block),
+                    v=draw(block), seed=draw(st.integers(0, 2 ** 64 - 1)),
+                    N_bath=draw(st.integers(0, 2 ** 32 - 1)),
+                    T=draw(st.just(0.0) | log_uniform(-3, 3)),
+                    force=draw(st.none() | block),
+                    k_B=draw(st.just(1.0) | log_uniform(-24, 3)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@PROPERTY_SETTINGS
+@given(ens=ensembles())
+def test_dump_and_load_round_trip(ens):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ensemble.bin")
+        dump_ensemble(ens, path)
+        back = load_ensemble(path)
+    for field in ("seed", "N_bath", "T", "k_B", "n_traj"):
+        assert getattr(back, field) == getattr(ens, field), field
+    np.testing.assert_array_equal(_bits(back.x), _bits(ens.x))
+    np.testing.assert_array_equal(_bits(back.v), _bits(ens.v))
+    assert (back.force is None) == (ens.force is None)
+    if ens.force is not None:
+        np.testing.assert_array_equal(_bits(back.force), _bits(ens.force))
+    assert back.times.shape == ens.times.shape
+    assert np.max(np.abs(back.times - ens.times)) <= 1e-12 * ens.times[-1]
