@@ -25,7 +25,6 @@ from .errors import (
 from .kernels import (
     DIMENSIONLESS,
     BlackbodyKernel,
-    FormFactor,
     MemoryKernel,
     OhmicKernel,
     PhysicalConstants,

@@ -8,7 +8,9 @@ A config file is a single JSON object.  Keys common to every command:
     dim        1 (default) or 3 -- applies the multiply-by-three convention
     seed       unsigned integer; required for the oracle command
     tolerance  float, default 1e-8 (quadrature/fit tolerance where relevant)
-    kernel     {"variant": "ohmic"|"single_relaxation"|"blackbody", ...}
+    kernel     {"variant": "ohmic"|"single_relaxation"|"blackbody", ...}; the
+               kernel's mass ("mass", blackbody "M") defaults to model.M and
+               must match it, as a blackbody "Omega" must match model.Omega
     model      {"M", "K", "Omega"} with "Omega" a number or "point-limit";
                the whole value may also be the string "point-limit"
     grids      {"T": ..., "t": ..., "omega": ...}; each grid is a list of
@@ -31,12 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import (
-    DIMENSIONLESS,
-    BlackbodyKernel,
-    PhysicalConstants,
-    kernel_from_json,
-)
+from .kernels import DIMENSIONLESS, PhysicalConstants, kernel_from_json
 from .response import ParticleModel
 
 COMMANDS = ("susceptibility", "causality", "free-energy", "shift",
@@ -119,8 +116,9 @@ class RunConfig:
             raise ConfigError(f"command '{self.command}' requires a kernel",
                               key="kernel")
         spec = dict(self.kernel_spec)
-        if spec.get("variant") == "blackbody":
-            spec.setdefault("M", self.model_spec["M"])
+        blackbody = spec.get("variant") == "blackbody"
+        spec.setdefault("M" if blackbody else "mass", self.model_spec["M"])
+        if blackbody:
             omega = self.model_spec["Omega"]
             if omega == "point-limit":
                 omega = 1.0 / self.model().tau_e
@@ -271,6 +269,12 @@ def _normalize_kernel(value, model_spec: dict, constants: PhysicalConstants):
         if name not in spec:
             raise ConfigError(f"kernel variant '{variant}' needs '{name}'",
                               key=f"kernel.{name}")
+    mass_key = "M" if variant == "blackbody" else "mass"
+    if mass_key in spec and not math.isclose(spec[mass_key], model_spec["M"],
+                                             rel_tol=1e-12):
+        raise ConfigError(
+            f"kernel.{mass_key} = {spec[mass_key]:.6g} conflicts with "
+            f"model.M = {model_spec['M']:.6g}", key=f"kernel.{mass_key}")
     if variant == "blackbody":
         model_omega = model_spec["Omega"]
         if ("Omega" in spec and model_omega != "point-limit"

@@ -22,8 +22,8 @@ from scipy.integrate import quad
 
 from ._grid import check_time_grid
 from .errors import AcausalModelError, FitError, GridError, QuadratureError
-from .kernels import BlackbodyKernel, MemoryKernel
-from .response import ParticleModel, denominator_closure
+from .kernels import MemoryKernel
+from .response import ParticleModel, denominator_closure, mass_for_kernel
 
 # The (1 - cos omega t) factor is integrated period by period out to
 # omega t = 40 pi; beyond that the oscillation is dropped (envelope) and the
@@ -113,7 +113,7 @@ def msd(kernel: MemoryKernel, model: ParticleModel, T: float, t: float,
         raise ValueError("temperature must be >= 0 and finite")
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError("time must be >= 0 and finite")
-    if isinstance(kernel, BlackbodyKernel) and not model.is_causal:
+    if mass_for_kernel(kernel, model) < 0:
         raise AcausalModelError(
             "mean-square displacement is undefined for an acausal model "
             f"(Omega = {model.Omega:.6g} > 1/tau_e = {1.0 / model.tau_e:.6g})")

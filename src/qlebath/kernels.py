@@ -1,9 +1,16 @@
 """Memory kernels mu(z) for the oscillator heat-bath model, plus physical constants.
 
-All kernels are positive-real functions of z in the upper half plane:
-Re mu(omega + i0+) >= 0 and mu(-omega + i0+) = conj(mu(omega + i0+)).
-Boundary values on the real axis are obtained by evaluating the rational
-closed forms directly at real z; no small imaginary offset is needed.
+Every kernel here is one positive-real rational function,
+
+    mu(z) = (a0 + a1 z) / (b0 + b1 z),
+
+(Ford, Lewis & O'Connell, Phys. Rev. A 37, 4419 (1988)).  Each kernel class
+states its four ``coefficients``; ``RationalKernel`` evaluates mu(z) and its
+real part on the real axis from them, and ``response`` builds D(z), D'(z) and
+the pole polynomial from the same four numbers.  Passivity means
+Re mu(omega + i0+) >= 0 and mu(-omega + i0+) = conj(mu(omega + i0+)); the
+poles of mu lie in the lower half plane, so real z gives the boundary value
+with no small imaginary offset.
 """
 
 from __future__ import annotations
@@ -59,22 +66,6 @@ class PhysicalConstants:
 DIMENSIONLESS = PhysicalConstants.dimensionless()
 
 
-@dataclass(frozen=True)
-class FormFactor:
-    """Electron charge-distribution form factor squared: Omega^2/(omega^2 + Omega^2)."""
-
-    Omega: float
-
-    def __post_init__(self):
-        if not (self.Omega > 0 and math.isfinite(self.Omega)):
-            raise ValueError("Omega must be positive and finite")
-
-    def squared(self, omega):
-        w2 = np.asarray(omega, dtype=float) ** 2
-        out = self.Omega ** 2 / (w2 + self.Omega ** 2)
-        return float(out) if np.isscalar(omega) else out
-
-
 def _check_upper_half(z):
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
@@ -84,11 +75,36 @@ def _check_upper_half(z):
     return z
 
 
+class RationalKernel:
+    """mu(z) = (a0 + a1 z)/(b0 + b1 z), with ``coefficients`` = (a0, a1, b0, b1).
+
+    Subclasses state the coefficients.  Degree one over degree one covers
+    every kernel; a decoupled kernel (gamma = 0 or zero charge) has a0 = a1 = 0.
+    """
+
+    def mu_tilde(self, z):
+        """mu(z) for Im z >= 0."""
+        z = _check_upper_half(z)
+        a0, a1, b0, b1 = self.coefficients
+        val = (a0 + a1 * z) / (b0 + b1 * z)
+        return complex(val) if val.ndim == 0 else val
+
+    def re_mu_real_axis(self, omega):
+        """Re mu(w) for real w: Re[(a0 + a1 w) conj(b0 + b1 w)] / |b0 + b1 w|^2."""
+        omega = np.asarray(omega, dtype=float)
+        a0, a1, b0, b1 = self.coefficients
+        den = b0 + b1 * omega
+        out = ((a0 + a1 * omega) * np.conj(den)).real / (den.real ** 2 + den.imag ** 2)
+        return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
-class OhmicKernel:
+class OhmicKernel(RationalKernel):
     """Frequency-independent friction: mu(z) = mass * gamma.
 
-    gamma >= 0; gamma = 0 represents a decoupled particle.
+    Coefficients (mass gamma, 0 | 1, 0).  gamma >= 0; gamma = 0 represents
+    a decoupled particle.  ``mass`` is the particle's mass (a run config
+    fills it from ``model.M``).
     """
 
     gamma: float
@@ -102,15 +118,9 @@ class OhmicKernel:
         if not (self.mass > 0 and math.isfinite(self.mass)):
             raise ValueError("mass must be positive and finite")
 
-    def mu_tilde(self, z):
-        z = _check_upper_half(z)
-        val = np.full_like(z, self.mass * self.gamma, dtype=complex)
-        return complex(val) if val.ndim == 0 else val
-
-    def re_mu_real_axis(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        out = np.full_like(omega, self.mass * self.gamma)
-        return float(out) if out.ndim == 0 else out
+    @property
+    def coefficients(self) -> tuple:
+        return (self.mass * self.gamma, 0.0, 1.0, 0.0)
 
     @property
     def scale(self) -> float:
@@ -122,8 +132,11 @@ class OhmicKernel:
 
 
 @dataclass(frozen=True)
-class SingleRelaxationKernel:
-    """Exponential memory: mu(z) = mass * gamma / (1 - i z tau)."""
+class SingleRelaxationKernel(RationalKernel):
+    """Exponential memory: mu(z) = mass * gamma / (1 - i z tau).
+
+    Coefficients (mass gamma, 0 | 1, -i tau); ``mass`` as for OhmicKernel.
+    """
 
     gamma: float
     tau: float
@@ -139,15 +152,9 @@ class SingleRelaxationKernel:
         if not (self.mass > 0 and math.isfinite(self.mass)):
             raise ValueError("mass must be positive and finite")
 
-    def mu_tilde(self, z):
-        z = _check_upper_half(z)
-        val = self.mass * self.gamma / (1.0 - 1j * z * self.tau)
-        return complex(val) if val.ndim == 0 else val
-
-    def re_mu_real_axis(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        out = self.mass * self.gamma / (1.0 + (omega * self.tau) ** 2)
-        return float(out) if out.ndim == 0 else out
+    @property
+    def coefficients(self) -> tuple:
+        return (self.mass * self.gamma, 0.0, 1.0, -1j * self.tau)
 
     @property
     def scale(self) -> float:
@@ -163,12 +170,13 @@ class SingleRelaxationKernel:
 
 
 @dataclass(frozen=True)
-class BlackbodyKernel:
+class BlackbodyKernel(RationalKernel):
     """Radiation-field kernel with a sharp-cutoff form factor.
 
-    mu(z) = (2 e^2 Omega^2 / 3 c^3) * z / (z + i Omega).
-    On the real axis Re mu = (2 e^2 omega^2 / 3 c^3) * Omega^2/(omega^2 + Omega^2),
-    the radiated-power rate times the form factor squared.
+    mu(z) = C Omega^2 z / (z + i Omega) with C = 2 e^2 / 3 c^3: coefficients
+    (0, C Omega^2 | i Omega, 1).  On the real axis
+    Re mu = C omega^2 Omega^2/(omega^2 + Omega^2), the radiated-power rate
+    times the form factor squared.
     """
 
     Omega: float
@@ -189,19 +197,9 @@ class BlackbodyKernel:
         k = self.constants
         return 2.0 * k.e ** 2 / (3.0 * k.c ** 3)
 
-    def mu_tilde(self, z):
-        z = _check_upper_half(z)
-        val = self.radiation_coefficient * self.Omega ** 2 * z / (z + 1j * self.Omega)
-        return complex(val) if val.ndim == 0 else val
-
-    def re_mu_real_axis(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        out = (
-            self.radiation_coefficient
-            * omega ** 2
-            * FormFactor(self.Omega).squared(omega)
-        )
-        return float(out) if out.ndim == 0 else out
+    @property
+    def coefficients(self) -> tuple:
+        return (0.0, self.radiation_coefficient * self.Omega ** 2, 1j * self.Omega, 1.0)
 
     @property
     def scale(self) -> float:

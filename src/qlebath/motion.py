@@ -173,13 +173,19 @@ def characteristic_roots(model: ParticleModel, variant: str = "cutoff") -> list[
 
 
 def _fit_log_growth(times: np.ndarray, a: np.ndarray):
-    """Least-squares slope and R^2 of log|a| over the final third."""
+    """Least-squares slope and R^2 of log|a| over the final third.
+
+    Points more than 14 decades below the largest |a| reached up to them are
+    left out: there |a| is rounding noise left by a decay from an earlier
+    peak.  A runaway never falls below its own past, so even a coarse grid
+    keeps every point of its final third.
+    """
     n = len(times)
     start = (2 * n) // 3
     t = times[start:]
     aa = np.abs(a[start:])
-    peak = float(np.max(np.abs(a))) if n else 0.0
-    mask = np.isfinite(aa) & (aa > 1e-280) & (aa > 1e-14 * peak)
+    peak_so_far = np.maximum.accumulate(np.abs(a))[start:]
+    mask = np.isfinite(aa) & (aa > 1e-280) & (aa > 1e-14 * peak_so_far)
     if np.count_nonzero(mask) < 5:
         return None, None
     t, la = t[mask], np.log(aa[mask])

@@ -2,14 +2,16 @@
 
 The position response to an external force is alpha(z) = 1/D(z) with
 
-    D(z) = -m z^2 - i z mu(z) + K.
+    D(z) = -m z^2 - i z mu(z) + K,    mu(z) = (a0 + a1 z)/(b0 + b1 z).
 
-Here m is the mass multiplying the second derivative.  For the blackbody
-kernel m is the *bare* mass M (1 - tau_e Omega) — the radiation field carries
-the rest of the observed inertia — while low-frequency response and the
-oscillation frequency omega_0 = sqrt(K/M) are governed by the observed mass M.
-For the Ohmic and single-relaxation kernels no renormalization occurs and m is
-the observed mass itself.
+D, D' and the pole polynomial are written once, from the kernel's four
+``coefficients`` and (m, K).  Here m is the mass multiplying the second
+derivative, and ``mass_for_kernel`` is the one place that tells kernels
+apart.  For the blackbody kernel m is the *bare* mass M (1 - tau_e Omega) —
+the radiation field carries the rest of the observed inertia — while
+low-frequency response and the oscillation frequency omega_0 = sqrt(K/M) are
+governed by the observed mass M.  For the Ohmic and single-relaxation kernels
+no renormalization occurs and m is the observed mass itself.
 
 Causality is equivalent to every pole of alpha lying in the open lower half
 plane, which for the blackbody kernel happens exactly when the bare mass is
@@ -25,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AcausalCutoffWarning, PoleEvaluationError
-from .kernels import (
-    DIMENSIONLESS,
-    BlackbodyKernel,
-    MemoryKernel,
-    OhmicKernel,
-    PhysicalConstants,
-    SingleRelaxationKernel,
-)
+from .kernels import DIMENSIONLESS, BlackbodyKernel, MemoryKernel, PhysicalConstants
 
 
 @dataclass(frozen=True)
@@ -134,60 +129,32 @@ def denominator(kernel: MemoryKernel, model: ParticleModel, z):
 
 
 def denominator_derivative(kernel: MemoryKernel, model: ParticleModel, z):
-    """dD/dz in closed form (K drops out; every kernel is rational)."""
-    m = mass_for_kernel(kernel, model)
-    z = np.asarray(z, dtype=complex)
-    if isinstance(kernel, OhmicKernel):
-        val = -2.0 * m * z - 1j * kernel.mass * kernel.gamma
-    elif isinstance(kernel, SingleRelaxationKernel):
-        val = -2.0 * m * z - 1j * kernel.mass * kernel.gamma / (1.0 - 1j * z * kernel.tau) ** 2
-    elif isinstance(kernel, BlackbodyKernel):
-        C = kernel.radiation_coefficient * kernel.Omega ** 2
-        val = -2.0 * m * z - 1j * C * z * (z + 2j * kernel.Omega) / (z + 1j * kernel.Omega) ** 2
-    else:  # pragma: no cover - union is closed
-        raise TypeError(f"unsupported kernel type {type(kernel).__name__}")
+    """dD/dz for Im z >= 0, from the closure the quadratures use."""
+    val = denominator_closure(kernel, model)(np.asarray(z, dtype=complex))[1]
     return complex(val) if val.ndim == 0 else val
 
 
 def denominator_closure(kernel: MemoryKernel, model: ParticleModel):
-    """Fast scalar evaluator omega -> (D(omega), D'(omega)) on the real axis.
+    """Fast evaluator omega -> (D(omega), D'(omega)).
 
-    Quadratures call this thousands of times per integral; the returned
-    closure uses plain complex arithmetic with every kernel constant bound
-    once up front.
+    With n = -i a, f(z) = -i mu(z) = (n0 + n1 z)/(b0 + b1 z) and
+    D(z) = z f(z) + K - m z^2, D'(z) = f(z) + z (n1 b0 - n0 b1)/(b0 + b1 z)^2 - 2 m z.
+    Quadratures call this thousands of times per integral with real floats,
+    so every constant is bound once up front; complex z and numpy arrays
+    work too.
     """
     m = mass_for_kernel(kernel, model)
     K = model.K
-    if isinstance(kernel, OhmicKernel):
-        g = kernel.mass * kernel.gamma
+    a0, a1, b0, b1 = kernel.coefficients
+    n0, n1 = -1j * a0, -1j * a1
+    c = n1 * b0 - n0 * b1
+    m2 = 2.0 * m
 
-        def D_Dp(om: float):
-            D = complex(K - m * om * om, -g * om)
-            Dp = complex(-2.0 * m * om, -g)
-            return D, Dp
+    def D_Dp(om):
+        q = 1.0 / (b0 + b1 * om)
+        f = (n0 + n1 * om) * q
+        return om * f + (K - m * om * om), f + om * c * q * q - m2 * om
 
-    elif isinstance(kernel, SingleRelaxationKernel):
-        g = kernel.mass * kernel.gamma
-        tau = kernel.tau
-
-        def D_Dp(om: float):
-            den = 1.0 - 1j * om * tau
-            D = K - m * om * om - 1j * om * g / den
-            Dp = -2.0 * m * om - 1j * g / (den * den)
-            return D, Dp
-
-    elif isinstance(kernel, BlackbodyKernel):
-        C = kernel.radiation_coefficient * kernel.Omega ** 2
-        Om = kernel.Omega
-
-        def D_Dp(om: float):
-            den = om + 1j * Om
-            D = K - m * om * om - 1j * C * om * om / den
-            Dp = -2.0 * m * om - 1j * C * om * (om + 2j * Om) / (den * den)
-            return D, Dp
-
-    else:  # pragma: no cover - union is closed
-        raise TypeError(f"unsupported kernel type {type(kernel).__name__}")
     return D_Dp
 
 
@@ -240,28 +207,16 @@ class PoleReport:
 
 def _cleared_polynomial(kernel: MemoryKernel, model: ParticleModel) -> list[complex]:
     """Coefficients (highest power first) of the polynomial sharing its roots
-    with the poles of alpha, after clearing the kernel's rational denominator.
+    with the poles of alpha: (K - m z^2)(b0 + b1 z) - i z (a0 + a1 z), i.e.
+    D(z) with the kernel's denominator cleared.  The cleared factor's zero
+    -b0/b1 is not a root: the polynomial is -i z (a0 + a1 z) != 0 there.
     """
     m = mass_for_kernel(kernel, model)
     K = model.K
-    if isinstance(kernel, OhmicKernel):
-        # D(z) itself: -m z^2 - i (m_k gamma) z + K
-        return [-m, -1j * kernel.mass * kernel.gamma, K]
-    if isinstance(kernel, SingleRelaxationKernel):
-        # (1 - i z tau) D(z); for gamma > 0 the cleared factor's zero
-        # z = -i/tau is not a root (the polynomial evaluates to
-        # -m_k gamma / tau there).  gamma = 0 decouples: plain oscillator.
-        g = kernel.mass * kernel.gamma
-        if g == 0.0:
-            return [-m, 0j, K]
-        return [1j * m * kernel.tau, -m, -1j * (g + K * kernel.tau), K]
-    if isinstance(kernel, BlackbodyKernel):
-        # (z + i Omega) D(z), using m Omega + (2e^2/3c^3) Omega^2 = M Omega:
-        # -m z^3 - i M Omega z^2 + K z + i K Omega.  Zero charge decouples.
-        if kernel.radiation_coefficient == 0.0:
-            return [-m, 0j, K]
-        return [-m, -1j * model.M * kernel.Omega, K, 1j * K * kernel.Omega]
-    raise TypeError(f"unsupported kernel type {type(kernel).__name__}")
+    a0, a1, b0, b1 = kernel.coefficients
+    if a0 == 0 and a1 == 0:  # decoupled (gamma = 0 or zero charge): no factor
+        return [-m, 0j, K]
+    return [-m * b1, -m * b0 - 1j * a1, K * b1 - 1j * a0, K * b0]
 
 
 def poles_and_causality(kernel: MemoryKernel, model: ParticleModel,

@@ -35,13 +35,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import AcausalModelError, GridError, QuadratureError
-from .kernels import (
-    DIMENSIONLESS,
-    BlackbodyKernel,
-    MemoryKernel,
-    PhysicalConstants,
-)
-from .response import ParticleModel, denominator_closure
+from .kernels import DIMENSIONLESS, MemoryKernel, PhysicalConstants
+from .response import ParticleModel, denominator_closure, mass_for_kernel
 
 # exp(-x) underflows to exactly 0.0 beyond ~745, so every thermal weight used
 # here is *exactly* zero past these cuts; integrating further is pure noise.
@@ -140,7 +135,7 @@ def _sum_panels(integrand, pts, rtol: float,
 
 def _require_causal_or_override(kernel: MemoryKernel, model: ParticleModel,
                                 allow_acausal: bool) -> None:
-    if isinstance(kernel, BlackbodyKernel) and not model.is_causal and not allow_acausal:
+    if mass_for_kernel(kernel, model) < 0 and not allow_acausal:
         raise AcausalModelError(
             f"cutoff Omega = {model.Omega:.6g} > 1/tau_e = {1.0 / model.tau_e:.6g} "
             "puts a runaway pole in the upper half plane; pass allow_acausal=True "

@@ -7,6 +7,7 @@ Desk scale throughout: hbar = k_B = c = M = 1 and alpha_fs = 1/137.036.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import qlebath
 from qlebath import (
     DIMENSIONLESS,
     FreeEnergyCurve,
@@ -239,12 +241,16 @@ def test_criterion_9_bitwise_deterministic_outputs(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    # the child imports the same package as this test, with or without PYTHONPATH
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qlebath.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     outputs = []
     for run in ("a", "b"):
         proc = subprocess.run(
             [sys.executable, "-m", "qlebath.cli", "--config", str(path),
              "--out", str(tmp_path / run)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append((tmp_path / run / "oracle.csv").read_bytes())
     ok = outputs[0] == outputs[1]

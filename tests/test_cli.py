@@ -142,6 +142,23 @@ def test_blackbody_shift_at_the_default_point_limit_runs(tmp_path):
     assert all(math.isfinite(float(cell)) for cell in rows[1])
 
 
+def test_ohmic_shift_uses_the_model_mass(tmp_path):
+    # D(z) must resonate at omega_0 = sqrt(K/M), the baseline's frequency;
+    # M = 4, K = 1 is then the M = 1, K = 1/4 oscillator scaled by 4
+    rows = []
+    for M, K in ((4.0, 1.0), (1.0, 0.25)):
+        data = {"command": "shift", "kernel": {"variant": "ohmic", "gamma": 0.001},
+                "model": {"M": M, "K": K}, "grids": {"T": [0.1, 1.0]}}
+        rc, out = run_cli(tmp_path, data, out=f"M{M}")
+        assert rc == 0
+        rows.append(read_rows(out / "shift.csv"))
+    header, *scaled = rows[0]
+    for row, ref in zip(scaled, rows[1][1:]):
+        got = dict(zip(header, map(float, row)))
+        assert abs(got["shift"]) < 0.1 * abs(got["baseline"])
+        assert got["F0"] == pytest.approx(float(ref[1]), rel=1e-9)
+
+
 def test_unwritable_output_directory_is_an_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -156,6 +156,22 @@ def test_blackbody_kernel_inherits_model_cutoff():
     assert kernel.M == 2.0
 
 
+@pytest.mark.parametrize("kernel, mass_key", [
+    ({"variant": "ohmic", "gamma": 0.1}, "mass"),
+    ({"variant": "single_relaxation", "gamma": 0.1, "tau": 2.0}, "mass"),
+    ({"variant": "blackbody"}, "M"),
+], ids=lambda v: v["variant"] if isinstance(v, dict) else v)
+def test_kernel_mass_follows_model_mass(kernel, mass_key):
+    data = {"command": "susceptibility", "kernel": dict(kernel),
+            "model": {"M": 4.0, "Omega": 7.0}, "grids": {"omega": [1.0, 2.0]}}
+    assert getattr(validate_config(data).kernel(), mass_key) == 4.0
+    data["kernel"][mass_key] = 4.0
+    assert getattr(validate_config(data).kernel(), mass_key) == 4.0
+    data["kernel"][mass_key] = 1.0
+    with pytest.raises(ConfigError, match=rf"kernel\.{mass_key} .* model\.M"):
+        validate_config(data)
+
+
 def test_output_names_stay_inside_the_output_directory():
     with pytest.raises(ConfigError, match=r"output\.csv"):
         validate_config(minimal(output={"csv": "/etc/evil.csv"}))

@@ -8,7 +8,6 @@ import pytest
 from qlebath import (
     DIMENSIONLESS,
     BlackbodyKernel,
-    FormFactor,
     OhmicKernel,
     PhysicalConstants,
     SingleRelaxationKernel,
@@ -61,8 +60,9 @@ def test_real_axis_limit_matches_re_mu(kernel):
 def test_blackbody_real_axis_formula_eight_decades():
     k = BlackbodyKernel(Omega=5.0, constants=DIMENSIONLESS, M=1.0)
     omega = np.geomspace(1e-4 * k.Omega, 1e4 * k.Omega, 161)
+    # the radiated-power rate times the form factor Omega^2/(omega^2 + Omega^2)
     expected = (k.radiation_coefficient * omega ** 2
-                * FormFactor(k.Omega).squared(omega))
+                * k.Omega ** 2 / (omega ** 2 + k.Omega ** 2))
     got = k.re_mu_real_axis(omega)
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
     # saturates at radiation_coefficient * Omega^2 far above the cutoff
@@ -135,11 +135,3 @@ def test_charge_scaling_scales_coupling_quadratically():
     with pytest.raises(ValueError):
         DIMENSIONLESS.scale_charge(-1.0)
 
-
-def test_form_factor_shape():
-    ff = FormFactor(Omega=4.0)
-    assert ff.squared(0.0) == 1.0
-    assert ff.squared(4.0) == pytest.approx(0.5)
-    w = np.linspace(0.0, 40.0, 101)
-    vals = ff.squared(w)
-    assert np.all(np.diff(vals) < 0)

@@ -281,6 +281,18 @@ def test_abraham_lorentz_overflow_truncates_as_a_runaway():
     assert traj.growth_rate is not None and not math.isnan(traj.growth_rate)
 
 
+def test_coarse_truncated_runaway_still_fits_its_rate():
+    # 15.6 tau_e per step: log|a| is exactly linear, but the final third of
+    # the kept points spans ~100 decades below the last one
+    model = ParticleModel.point_limit(1.9, 0.0)
+    traj = integrate_third_order(zero_force(), model, np.linspace(0.0, 8.0, 201),
+                                 a0=0.7, variant="abraham_lorentz")
+    assert len(traj.times) < 201
+    assert traj.runaway_flag
+    assert traj.fit_rate == pytest.approx(1.0 / model.tau_e, rel=1e-3)
+    assert traj.growth_rate == traj.fit_rate
+
+
 DRIVES = [zero_force(), constant_with_ramp(-1.5, 2.0), sinusoid(0.8, 1.3),
           gaussian_pulse(1.2, 3.0, 0.6)]
 DRIVE_IDS = ["zero", "ramp", "sinusoid", "pulse"]

@@ -38,7 +38,8 @@ kernels = st.one_of(
     st.builds(SingleRelaxationKernel, gamma=st.just(0.0) | log_uniform(-4, 4),
               tau=log_uniform(-4, 4), mass=log_uniform(-3, 3)),
     st.builds(BlackbodyKernel, Omega=log_uniform(-4, 6),
-              constants=st.sampled_from([DIMENSIONLESS, PhysicalConstants.cgs()]),
+              constants=st.sampled_from([DIMENSIONLESS, PhysicalConstants.cgs(),
+                                         DIMENSIONLESS.scale_charge(0.0)]),
               M=log_uniform(-3, 3)),
 )
 frequencies = st.lists(log_uniform(-6, 6), min_size=1, max_size=20)
@@ -75,6 +76,35 @@ def test_pole_verdict_matches_the_causal_cutoff_bound(M, K, ratio):
         warnings.simplefilter("ignore", AcausalCutoffWarning)
         report = poles_and_causality(model.kernel(), model)
     assert report.causal == model.is_causal
+
+
+def matching_model(kernel, K):
+    if isinstance(kernel, BlackbodyKernel):
+        return ParticleModel(M=kernel.M, K=K, Omega=kernel.Omega,
+                             constants=kernel.constants)
+    return ParticleModel(M=kernel.mass, K=K, Omega=1.0)
+
+
+@PROPERTY_SETTINGS
+@given(kernel=kernels, K=log_uniform(-3, 3))
+def test_poles_are_roots_of_the_cleared_denominator(kernel, K):
+    model = matching_model(kernel, K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AcausalCutoffWarning)
+        report = poles_and_causality(kernel, model)
+        m = model.m_bare if isinstance(kernel, BlackbodyKernel) else kernel.mass
+    a0, a1, b0, b1 = kernel.coefficients
+    for z in report.poles:
+        # (K - m z^2)(b0 + b1 z) - i z (a0 + a1 z), term by term
+        terms = [K * b0, K * b1 * z, -m * z ** 2 * b0, -m * z ** 3 * b1,
+                 -1j * a0 * z, -1j * a1 * z ** 2]
+        assert abs(sum(terms)) <= 1e-9 * sum(abs(t) for t in terms)
+    if isinstance(kernel, BlackbodyKernel):
+        coupled = kernel.constants.e > 0
+    else:
+        coupled = kernel.gamma > 0
+    expected = 3 if coupled and not isinstance(kernel, OhmicKernel) else 2
+    assert len(report.poles) == expected
 
 
 @pytest.mark.parametrize("M", [0.5, 0.7, 1.0, 1.3, 2.0, 3.7])

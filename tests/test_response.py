@@ -13,6 +13,7 @@ from qlebath import (
     ParticleModel,
     PhysicalConstants,
     PoleEvaluationError,
+    SingleRelaxationKernel,
     bare_mass,
     denominator,
     denominator_closure,
@@ -144,9 +145,31 @@ def test_cgs_electron_radiation_time():
     assert 1.0 / model.tau_e == pytest.approx(1.60e23, rel=5e-3)
 
 
+def reference_D_Dp(kernel, model, z):
+    """D(z) and D'(z) written out by hand for each kernel family."""
+    K = model.K
+    if isinstance(kernel, OhmicKernel):
+        m, g = kernel.mass, kernel.mass * kernel.gamma
+        return K - m * z * z - 1j * g * z, -2.0 * m * z - 1j * g
+    if isinstance(kernel, SingleRelaxationKernel):
+        m, g = kernel.mass, kernel.mass * kernel.gamma
+        den = 1.0 - 1j * z * kernel.tau
+        return (K - m * z * z - 1j * z * g / den,
+                -2.0 * m * z - 1j * g / (den * den))
+    m, Om = model.m_bare, kernel.Omega
+    C = kernel.radiation_coefficient * Om ** 2
+    den = z + 1j * Om
+    return (K - m * z * z - 1j * C * z * z / den,
+            -2.0 * m * z - 1j * C * z * (z + 2j * Om) / (den * den))
+
+
 def test_closure_matches_pointwise_denominator():
+    # the closure, D and D' all come from the kernel's coefficients, so the
+    # independent reference is the per-family form above
     cases = [
-        (OhmicKernel(gamma=0.4), ParticleModel(M=1.5, K=2.0, Omega=1.0)),
+        (OhmicKernel(gamma=0.4, mass=1.5), ParticleModel(M=1.5, K=2.0, Omega=1.0)),
+        (SingleRelaxationKernel(gamma=0.7, tau=0.3, mass=0.8),
+         ParticleModel(M=0.8, K=1.3, Omega=1.0)),
         (None, ParticleModel(M=1.0, K=1.0, Omega=30.0)),
     ]
     rng = np.random.default_rng(55)
@@ -156,9 +179,16 @@ def test_closure_matches_pointwise_denominator():
         closure = denominator_closure(kernel, model)
         for w in 10.0 ** rng.uniform(-3, 3, 25):
             d, dp = closure(w)
-            assert d == pytest.approx(denominator(kernel, model, w), rel=1e-12)
-            assert dp == pytest.approx(
-                denominator_derivative(kernel, model, w), rel=1e-10)
+            d_ref, dp_ref = reference_D_Dp(kernel, model, w)
+            assert d == pytest.approx(d_ref, rel=1e-12)
+            assert dp == pytest.approx(dp_ref, rel=1e-12)
+        z = np.concatenate([10.0 ** rng.uniform(-3, 3, 25),
+                            random_upper_half_points(rng, 25)])
+        d_ref, dp_ref = reference_D_Dp(kernel, model, z)
+        assert np.allclose(denominator(kernel, model, z), d_ref, rtol=1e-12,
+                           atol=0.0)
+        assert np.allclose(denominator_derivative(kernel, model, z), dp_ref,
+                           rtol=1e-12, atol=0.0)
 
 
 def test_resonance_peak_dominates_off_resonance():
