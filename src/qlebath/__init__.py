@@ -35,9 +35,7 @@ from .response import (
     ParticleModel,
     PoleReport,
     bare_mass,
-    denominator,
     denominator_closure,
-    denominator_derivative,
     poles_and_causality,
     renormalize_mass,
     susceptibility,

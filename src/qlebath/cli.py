@@ -20,7 +20,6 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
-import scipy
 
 from ._version import __version__
 from . import bath_sim, diffusion, motion, thermo
@@ -68,7 +67,6 @@ def _write_artifacts(cfg: RunConfig, header, rows, meta: dict) -> None:
         "package": "qlebath",
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         **meta,
     }
     json_path = os.path.join(cfg.out_dir, cfg.output["json"])

@@ -120,28 +120,13 @@ def mass_for_kernel(kernel: MemoryKernel, model: ParticleModel) -> float:
     return kernel.mass
 
 
-def denominator(kernel: MemoryKernel, model: ParticleModel, z):
-    """D(z) = -m z^2 - i z mu(z) + K for Im z >= 0."""
-    m = mass_for_kernel(kernel, model)
-    z = np.asarray(z, dtype=complex)
-    val = -m * z ** 2 - 1j * z * kernel.mu_tilde(z) + model.K
-    return complex(val) if val.ndim == 0 else val
-
-
-def denominator_derivative(kernel: MemoryKernel, model: ParticleModel, z):
-    """dD/dz for Im z >= 0, from the closure the quadratures use."""
-    val = denominator_closure(kernel, model)(np.asarray(z, dtype=complex))[1]
-    return complex(val) if val.ndim == 0 else val
-
-
 def denominator_closure(kernel: MemoryKernel, model: ParticleModel):
-    """Fast evaluator omega -> (D(omega), D'(omega)).
+    """Evaluator z -> (D(z), D'(z)) for Im z >= 0, on scalars or arrays.
 
     With n = -i a, f(z) = -i mu(z) = (n0 + n1 z)/(b0 + b1 z) and
     D(z) = z f(z) + K - m z^2, D'(z) = f(z) + z (n1 b0 - n0 b1)/(b0 + b1 z)^2 - 2 m z.
-    Quadratures call this thousands of times per integral with real floats,
-    so every constant is bound once up front; complex z and numpy arrays
-    work too.
+    The spectral quadratures call it once per adaptive pass with every node
+    of the pass in one array.
     """
     m = mass_for_kernel(kernel, model)
     K = model.K

@@ -3,9 +3,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qlebath
 from qlebath import diffusion, load_ensemble, motion, validate_config
 from qlebath.cli import main as cli_main
 
@@ -266,3 +270,17 @@ def test_tolerance_reaches_the_computation(tmp_path, monkeypatch, command,
     rc, _ = run_cli(tmp_path, {**data, "tolerance": 1e-6}, out="loose")
     assert rc == 0
     assert seen == [1e-8, 1e-6]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test reference only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qlebath.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qlebath.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

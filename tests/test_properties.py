@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,9 +18,13 @@ from qlebath import (
     OhmicKernel,
     ParticleModel,
     PhysicalConstants,
+    QuadratureError,
     SingleRelaxationKernel,
+    coupled_free_energy,
     dump_ensemble,
+    free_energy_shift,
     load_ensemble,
+    oscillator_free_energy,
     poles_and_causality,
 )
 
@@ -105,6 +109,33 @@ def test_poles_are_roots_of_the_cleared_denominator(kernel, K):
         coupled = kernel.gamma > 0
     expected = 3 if coupled and not isinstance(kernel, OhmicKernel) else 2
     assert len(report.poles) == expected
+
+
+# few examples: each draws two adaptive quadratures
+ROUTE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@ROUTE_SETTINGS
+@given(kernel=kernels, K=log_uniform(-3, 3), x=log_uniform(-1.5, 1.5))
+def test_free_energy_routes_agree_within_their_stated_errors(kernel, K, x):
+    model = matching_model(kernel, K)
+    assume(model.is_causal)
+    k = model.constants
+    # hbar omega_0 / kT = x: from the quantum to the classical regime
+    T = k.hbar * model.omega_0 / (k.k_B * x)
+    rtol = 1e-8
+    try:
+        F, err_direct = coupled_free_energy(kernel, model, T, rtol=rtol)
+        shift, err_shift = free_energy_shift(kernel, model, T, rtol=rtol)
+    except QuadratureError:
+        # allowed: a line narrower than the float spacing at omega_0 (CGS
+        # with a macroscopic mass) has no node to sample it, and a request
+        # below the rounding floor exhausts the panel budget.  A number
+        # outside its stated error is not allowed.
+        assume(False)
+    baseline = oscillator_free_energy(model.omega_0, T, k)
+    assert abs(F - (baseline + shift)) <= (
+        err_direct + err_shift + 1e-12 * (abs(F) + abs(baseline)))
 
 
 @pytest.mark.parametrize("M", [0.5, 0.7, 1.0, 1.3, 2.0, 3.7])

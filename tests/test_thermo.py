@@ -12,6 +12,8 @@ from qlebath import (
     GridError,
     OhmicKernel,
     ParticleModel,
+    PhysicalConstants,
+    QuadratureError,
     bbr_shift_closed_form,
     coupled_free_energy,
     fit_quadratic_coefficient,
@@ -150,6 +152,45 @@ def test_quadrature_error_estimates_are_honest():
     loose, err_loose = coupled_free_energy(kernel, model, 1.0, rtol=1e-6)
     tight, _ = coupled_free_energy(kernel, model, 1.0, rtol=1e-12)
     assert abs(loose - tight) <= 10.0 * err_loose + 1e-13 * abs(tight)
+
+
+@pytest.mark.parametrize("route, kernel, model, T", [
+    ("shift", OhmicKernel(gamma=0.05283), ParticleModel.point_limit(1.0, 2.859),
+     0.1688),
+    ("free-energy", None, ParticleModel(M=1.0, K=0.8838, Omega=18.95), 8.766),
+], ids=["ohmic-shift", "blackbody-free-energy"])
+def test_error_estimate_bounds_the_error_at_the_default_tolerance(
+        route, kernel, model, T):
+    # two inputs where an estimate rescaled QUADPACK's way came out over
+    # ten times too small at rtol 1e-8
+    kernel = kernel or model.kernel()
+    fn = free_energy_shift if route == "shift" else coupled_free_energy
+    value, err = fn(kernel, model, T, rtol=1e-8)
+    exact, _ = fn(kernel, model, T, rtol=1e-12)
+    assert abs(value - exact) <= 10.0 * err
+
+
+def test_decoupled_shift_is_exactly_zero():
+    # Im D is +0.0 above omega_0 here; the continuous branch of arg D must
+    # still be -pi there, not +pi
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
+    assert free_energy_shift(OhmicKernel(gamma=0.0), model, 1.0) == (0.0, 0.0)
+    neutral = ParticleModel(M=1.0, K=1.0, Omega=10.0,
+                            constants=DIMENSIONLESS.scale_charge(0.0))
+    assert free_energy_shift(neutral.kernel(), neutral, 1.0) == (0.0, 0.0)
+
+
+def test_unresolvable_line_is_a_quadrature_error():
+    # CGS, one gram on a unit spring: the radiative linewidth (~3e-51 of
+    # omega_0) is below the float spacing at omega_0, so no node can see it
+    k = PhysicalConstants.cgs()
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0, constants=k)
+    T = k.hbar * model.omega_0 / k.k_B
+    with pytest.raises(QuadratureError, match="linewidth"):
+        coupled_free_energy(model.kernel(), model, T, rtol=1e-8)
+    # the shift route still works: the shift is negligible beside f(omega_0)
+    shift, _ = free_energy_shift(model.kernel(), model, T, rtol=1e-8)
+    assert abs(shift) <= 1e-12 * abs(oscillator_free_energy(1.0, T, k))
 
 
 def test_curve_shift_property_and_metadata():
