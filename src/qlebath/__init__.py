@@ -84,7 +84,6 @@ from .bath_sim import (
     force_autocorrelation_check,
     load_ensemble,
     reconstructed_memory,
-    reconstructed_mu_tilde,
     recurrence_time,
     simulate_classical_io,
 )

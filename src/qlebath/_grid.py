@@ -1,4 +1,4 @@
-"""The time-grid check shared by the motion, diffusion and bath modules."""
+"""Time-grid checks shared by the motion, diffusion, bath and config code."""
 
 import numpy as np
 
@@ -15,3 +15,9 @@ def check_time_grid(t_grid) -> np.ndarray:
     if not np.all(np.diff(t) > 0):
         raise GridError("time grid must be strictly increasing")
     return t
+
+
+def is_uniform_grid(t) -> bool:
+    """True when the steps of t agree to rtol 1e-9, as a binary dump needs."""
+    dts = np.diff(np.asarray(t, dtype=float))
+    return bool(np.allclose(dts, dts[:1], rtol=1.0e-9, atol=0.0))

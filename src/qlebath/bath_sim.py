@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import check_time_grid
+from ._grid import check_time_grid, is_uniform_grid
 from .errors import GridError, InsufficientStatisticsError
 from .kernels import MemoryKernel
 from .response import ParticleModel
@@ -108,16 +108,6 @@ def reconstructed_memory(oscillators, t):
     return float(val) if t_arr.ndim == 0 else val
 
 
-def reconstructed_mu_tilde(oscillators, z: complex) -> complex:
-    """Discrete transform sum_j c_j i z / (z^2 - omega_j^2), Im z > 0."""
-    z = complex(z)
-    if not (z.imag > 0):
-        raise ValueError("reconstructed mu_tilde needs Im z > 0 "
-                         "(the discrete sum has poles on the real axis)")
-    _, w, c = _bath_arrays(oscillators)
-    return complex(np.sum(c * 1j * z / (z * z - w ** 2)))
-
-
 @dataclass(frozen=True)
 class Ensemble:
     """Particle trajectories from a thermal bath ensemble.
@@ -169,6 +159,30 @@ def _propagators(t, lam, row, basis=None):
     return C @ basis, S @ basis, D @ basis
 
 
+def _thermal_initial_data(m, w, kT, M, n_traj, seed, moving):
+    """Thermal (pos0, vel0), each (n_traj, N+1): column 0 the particle,
+    columns 1.. the bath, positions relative to x(0).
+
+    Standard normals fill the rows in the contract's draw order, then whole
+    columns are scaled: normal(0, s) is 0.0 + s z, so this is bit-identical
+    to drawing each value at its own scale.
+    """
+    streams = np.random.SeedSequence(seed).spawn(n_traj)
+    pos0 = np.zeros((n_traj, m.size + 1))
+    vel0 = np.zeros((n_traj, m.size + 1))
+    for i in range(n_traj):
+        rng = np.random.default_rng(streams[i])
+        if moving:
+            rng.standard_normal(out=vel0[i, :1])
+        rng.standard_normal(out=pos0[i, 1:])
+        rng.standard_normal(out=vel0[i, 1:])
+    vel0[:, 0] *= math.sqrt(kT / M)
+    pos0[:, 1:] *= np.sqrt(kT / m) / w     # spread of q_j - x(0)
+    vel0[:, 1:] *= np.sqrt(m * kT)
+    vel0[:, 1:] /= m
+    return pos0, vel0
+
+
 def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
                           n_traj: int, seed: int,
                           freeze_particle: bool = False,
@@ -184,9 +198,15 @@ def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
 
     freeze_particle clamps x at x0; each bath mode is then a normal mode on
     its own, and the bath force on the particle is recorded in
-    Ensemble.force.  Identical seeds give bit-identical ensembles; each
-    trajectory uses an independent child stream of the seed, so the result
-    does not depend on execution order.
+    Ensemble.force.
+
+    Reproducibility contract: trajectory i draws from child stream i of
+    SeedSequence(seed).spawn(n_traj), in this order: the particle velocity
+    (moving particle only; drawn even when v0 overrides it), the N bath
+    displacements q_j - x(0), then the N bath velocities.  Identical seeds
+    give bit-identical ensembles, and the first k trajectories of an
+    n-trajectory ensemble start from the initial data of the k-trajectory
+    one.
     """
     m, w, c = _bath_arrays(oscillators)
     t = check_time_grid(t_grid)
@@ -200,21 +220,8 @@ def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
     kT = model.constants.k_B * T
     M, K = model.M, model.K
     N = len(oscillators)
-    sigma_v = math.sqrt(kT / M)
-    sigma_q = np.sqrt(kT / m) / w          # spread of q_j - x(0)
-    sigma_p = np.sqrt(m * kT)
-
-    # Column 0 is the particle, columns 1.. the bath; positions are taken
-    # relative to x(0) = x0.
-    streams = np.random.SeedSequence(seed).spawn(n_traj)
-    pos0 = np.zeros((n_traj, N + 1))
-    vel0 = np.zeros((n_traj, N + 1))
-    for i in range(n_traj):
-        rng = np.random.default_rng(streams[i])
-        if not freeze_particle:
-            vel0[i, 0] = rng.normal(0.0, sigma_v)
-        pos0[i, 1:] = rng.normal(0.0, sigma_q)
-        vel0[i, 1:] = rng.normal(0.0, sigma_p) / m
+    pos0, vel0 = _thermal_initial_data(m, w, kT, M, n_traj, seed,
+                                       moving=not freeze_particle)
 
     if freeze_particle:
         # Clamped particle: the bath modes are the normal modes, and
@@ -327,13 +334,13 @@ def dump_ensemble(ens: Ensemble, path) -> None:
     a uniform time grid t0 + dt * k.  Version 1 files lack has_force, t0 and
     k_B, and load as t0 = 0, k_B = 1.
     """
-    dts = np.diff(ens.times)
-    if not np.allclose(dts, dts[0], rtol=1.0e-9, atol=0.0):
+    if not is_uniform_grid(ens.times):
         raise ValueError("binary dump requires a uniform time grid")
     blocks = [ens.x, ens.v] + ([] if ens.force is None else [ens.force])
     header = struct.pack(
         _DUMP_HEADER[_DUMP_VERSION], ens.n_traj, ens.times.size, ens.N_bath,
-        int(ens.force is not None), float(ens.times[0]), float(dts[0]),
+        int(ens.force is not None), float(ens.times[0]),
+        float(ens.times[1] - ens.times[0]),
         float(ens.T), float(ens.k_B), int(ens.seed))
     with open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC + struct.pack("<I", _DUMP_VERSION) + header)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._grid import is_uniform_grid
 from .errors import ConfigError
 from .kernels import DIMENSIONLESS, PhysicalConstants, kernel_from_json
 from .response import ParticleModel
@@ -384,6 +385,11 @@ def validate_config(data: dict) -> RunConfig:
                           key=f"grids.{need}")
 
     output = _validate_output(data.get("output"), command)
+    if (command == "oracle" and "dump" in output
+            and not is_uniform_grid(grids["t"])):
+        raise ConfigError("output.dump needs a uniform grids.t: the binary "
+                          "dump stores only t0 and one step",
+                          key="output.dump")
     out_dir = data.get("out_dir", ".")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir must be a nonempty string", key="out_dir")

