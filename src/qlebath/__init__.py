@@ -37,7 +37,6 @@ from .response import (
     bare_mass,
     denominator_closure,
     poles_and_causality,
-    renormalize_mass,
     susceptibility,
 )
 from .thermo import (
@@ -57,7 +56,6 @@ from .motion import (
     Trajectory,
     bounded_al_acceleration,
     bounded_al_trajectory,
-    characteristic_roots,
     constant_with_ramp,
     gaussian_pulse,
     integrate_point_limit,
@@ -68,7 +66,6 @@ from .motion import (
 from .diffusion import (
     DiffusionReport,
     MsdCurve,
-    diffusion_constant,
     msd,
     msd_curve,
     regime_tag,

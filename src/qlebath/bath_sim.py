@@ -27,6 +27,11 @@ from .errors import GridError, InsufficientStatisticsError
 from .kernels import MemoryKernel
 from .response import ParticleModel
 
+# numpy.random.SeedSequence's hash constants (NEP 19) and PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 _DUMP_MAGIC = b"QLEB"
 _DUMP_VERSION = 2
 # Header after the magic and the uint32 version, per version.
@@ -159,19 +164,68 @@ def _propagators(t, lam, row, basis=None):
     return C @ basis, S @ basis, D @ basis
 
 
+def _hash(value, hash_const, mult):
+    """One SeedSequence hash step on uint32 words; returns the next constant."""
+    next_const = hash_const * mult % 2 ** 32
+    value = (value ^ np.uint32(hash_const)) * np.uint32(next_const)
+    return value ^ value >> np.uint32(16), next_const
+
+
+def _seeded_pcg64_state(w0, w1, w2, w3):
+    """PCG64's state once seeded from the uint64 words of generate_state(4):
+    initstate w0 2^64 + w1 and initseq w2 2^64 + w3, with two LCG steps."""
+    inc = ((w2 << 64 | w3) << 1 | 1) % 2 ** 128
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) % 2 ** 128
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": state, "inc": inc}}
+
+
+def _pcg64_states(seed, n_traj):
+    """PCG64(child).state for each child of SeedSequence(seed).spawn(n_traj).
+
+    A child hashes the seed's 32-bit words, zero-padded to the pool size 4,
+    then its spawn key i, so every child passes through the parent's pool
+    and hash constant; the key's mixing and generate_state(4, np.uint64) are
+    then the same uint32 array operation for all children.
+    """
+    if n_traj >= 2 ** 32:
+        raise ValueError("n_traj must be below 2**32: one uint32 spawn key each")
+    parent = np.random.SeedSequence(seed)
+    # filling the parent's pool took 4 hashmix calls per word, at least 4 words
+    steps = 4 * max(4, -(-int(parent.entropy).bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, steps, 2 ** 32) % 2 ** 32
+    keys, pool = np.arange(n_traj, dtype=np.uint32), []
+    for word in parent.pool:
+        key, hash_const = _hash(keys, hash_const, _MULT_A)
+        mixed = (np.uint32(_MIX_MULT_L * int(word) % 2 ** 32)
+                 - np.uint32(_MIX_MULT_R) * key)
+        pool.append(mixed ^ mixed >> np.uint32(16))
+    # generate_state cycles through the pool; uint32 pairs are little-endian
+    out, hash_const = np.empty((n_traj, 8), dtype=np.uint64), _INIT_B
+    for k in range(8):
+        out[:, k], hash_const = _hash(pool[k % 4], hash_const, _MULT_B)
+    words = out[:, 0::2] | out[:, 1::2] << np.uint64(32)
+    return map(_seeded_pcg64_state, *words.T.tolist())
+
+
 def _thermal_initial_data(m, w, kT, M, n_traj, seed, moving):
     """Thermal (pos0, vel0), each (n_traj, N+1): column 0 the particle,
     columns 1.. the bath, positions relative to x(0).
 
-    Standard normals fill the rows in the contract's draw order, then whole
-    columns are scaled: normal(0, s) is 0.0 + s z, so this is bit-identical
-    to drawing each value at its own scale.
+    Trajectory i draws from the stream default_rng(child) would give for
+    child i of SeedSequence(seed).spawn(n_traj): one reused PCG64 is set to
+    each child's state, all of which _pcg64_states derives in one array
+    pass.  Standard normals fill the rows in the contract's draw order, then
+    whole columns are scaled: normal(0, s) is 0.0 + s z, so this is
+    bit-identical to drawing each value at its own scale.
     """
-    streams = np.random.SeedSequence(seed).spawn(n_traj)
+    states = _pcg64_states(seed, n_traj)
     pos0 = np.zeros((n_traj, m.size + 1))
     vel0 = np.zeros((n_traj, m.size + 1))
-    for i in range(n_traj):
-        rng = np.random.default_rng(streams[i])
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for i, state in enumerate(states):
+        bitgen.state = state
         if moving:
             rng.standard_normal(out=vel0[i, :1])
         rng.standard_normal(out=pos0[i, 1:])

@@ -225,27 +225,27 @@ def _run_oracle(cfg: RunConfig) -> dict:
         oscillators, model, opts["T"], t_grid, opts["n_traj"], cfg.seed,
         freeze_particle=opts["freeze_particle"])
 
+    t_rec = bath_sim.recurrence_time(oscillators)
+    if opts["freeze_particle"]:
+        report = bath_sim.force_autocorrelation_check(ens, oscillators, kernel)
+        header = ("t", "facf_mean", "facf_stderr", "facf_target")
+        rows = list(zip(report.times, report.estimate, report.stderr,
+                        report.target))
+        result = {**report.to_json(), "t_rec": t_rec}
+    else:
+        header = ("t", "msd_mean", "msd_stderr")
+        rows = list(zip(*bath_sim.ensemble_msd(ens)))
+        result = {"n_traj": ens.n_traj, "N_bath": ens.N_bath, "t_rec": t_rec}
+
+    # The dump is written only once the statistics have succeeded, so a
+    # failed run leaves no artifact behind.
     if "dump" in cfg.output:
         os.makedirs(cfg.out_dir, exist_ok=True)
         dump_path = os.path.join(cfg.out_dir, cfg.output["dump"])
         tmp = dump_path + ".tmp"
         bath_sim.dump_ensemble(ens, tmp)
         os.replace(tmp, dump_path)
-
-    t_rec = bath_sim.recurrence_time(oscillators)
-    if opts["freeze_particle"]:
-        report = bath_sim.force_autocorrelation_check(ens, oscillators, kernel)
-        rows = list(zip(report.times, report.estimate, report.stderr,
-                        report.target))
-        result = {**report.to_json(), "t_rec": t_rec}
-        _write_artifacts(cfg, ("t", "facf_mean", "facf_stderr", "facf_target"),
-                         rows, {"result": result})
-        return result
-    times, mean, stderr = bath_sim.ensemble_msd(ens)
-    rows = list(zip(times, mean, stderr))
-    result = {"n_traj": ens.n_traj, "N_bath": ens.N_bath, "t_rec": t_rec}
-    _write_artifacts(cfg, ("t", "msd_mean", "msd_stderr"), rows,
-                     {"result": result})
+    _write_artifacts(cfg, header, rows, {"result": result})
     return result
 
 

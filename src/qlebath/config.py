@@ -426,6 +426,10 @@ def validate_config(data: dict) -> RunConfig:
                 raise ConfigError(f"{name} must be true or false", key=name)
         options[name] = value
 
+    if (command == "oracle" and options["freeze_particle"]
+            and options["n_traj"] < 2):
+        raise ConfigError("n_traj must be >= 2 for a frozen oracle run: the "
+                          "force statistics need a standard error", key="n_traj")
     if command == "oracle" and seed is None:
         raise ConfigError("command 'oracle' is stochastic and needs a seed",
                           key="seed")

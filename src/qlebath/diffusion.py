@@ -174,19 +174,6 @@ class MsdCurve:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    def to_json(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "kernel": dict(self.kernel_meta),
-            "model": dict(self.model_meta),
-            "fit": {
-                "exponent": self.fit_exponent,
-                "prefactor": self.fit_prefactor,
-                "stderr": self.fit_stderr,
-                "residual": self.fit_residual,
-            },
-        }
-
 
 def _tail_power_fit(times: np.ndarray, values: np.ndarray):
     """Least-squares fit of log msd vs log t over the grid's last decade.
@@ -256,7 +243,11 @@ class DiffusionReport:
 
 
 def report_from_curve(curve: MsdCurve) -> DiffusionReport:
-    """Classify an already computed curve's tail (see diffusion_constant)."""
+    """Fit the curve's long-time tail; return D for normal diffusion.
+
+    The tail is anomalous when the fitted exponent differs from 1 by more
+    than max(3 stderr, 0.1).
+    """
     if curve.fit_exponent is None:
         raise FitError("no linear regime found: fewer than three usable "
                        "points in the tail decade")
@@ -278,19 +269,6 @@ def report_from_curve(curve: MsdCurve) -> DiffusionReport:
                            exponent_stderr=stderr,
                            prefactor=curve.fit_prefactor,
                            fit_residual=curve.fit_residual, window=window)
-
-
-def diffusion_constant(kernel: MemoryKernel, model: ParticleModel, T: float,
-                       times=None, classical: bool | None = None,
-                       rtol: float = 1.0e-9) -> DiffusionReport:
-    """Fit the long-time msd tail; return D for normal diffusion.
-
-    With times=None the fit window is the one of ``msd_curve``.  The tail
-    is anomalous when the fitted exponent differs from 1 by more than
-    max(3 stderr, 0.1).
-    """
-    curve = msd_curve(kernel, model, T, times, classical=classical, rtol=rtol)
-    return report_from_curve(curve)
 
 
 def regime_tag(curve: MsdCurve) -> list:

@@ -155,23 +155,6 @@ class Trajectory:
         }
 
 
-def characteristic_roots(model: ParticleModel, variant: str = "cutoff") -> list[complex]:
-    """Rates s of the homogeneous solutions e^{st}.
-
-    cutoff: M (1/Omega - tau_e) s^3 + M s^2 = 0 -> {0, 0, -1/(1/Omega - tau_e)};
-    the third root disappears at Omega = 1/tau_e (second-order point limit).
-    abraham_lorentz: {0, 0, +1/tau_e} — the runaway.
-    """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
-    if variant == "abraham_lorentz":
-        return [0j, 0j, complex(1.0 / model.tau_e)]
-    eps = 1.0 / model.Omega - model.tau_e
-    if eps == 0.0:
-        return [0j, 0j]
-    return [0j, 0j, complex(-1.0 / eps)]
-
-
 def _fit_log_growth(times: np.ndarray, a: np.ndarray):
     """Least-squares slope and R^2 of log|a| over the final third.
 

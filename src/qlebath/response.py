@@ -83,15 +83,9 @@ class ParticleModel:
         return {"M": self.M, "K": self.K, "Omega": self.Omega}
 
 
-def renormalize_mass(m_bare: float, Omega: float,
-                     constants: PhysicalConstants = DIMENSIONLESS) -> float:
-    """Observed mass M = m + (2 e^2 / 3 c^3) Omega."""
-    return m_bare + (2.0 * constants.e ** 2 / (3.0 * constants.c ** 3)) * Omega
-
-
 def bare_mass(M: float, Omega: float,
               constants: PhysicalConstants = DIMENSIONLESS) -> float:
-    """Bare mass m = M (1 - tau_e Omega); exact inverse of renormalize_mass.
+    """Bare mass m = M (1 - tau_e Omega), from M = m + (2 e^2/3 c^3) Omega.
 
     Warns (AcausalCutoffWarning) when the result is < 0, i.e. the cutoff is
     above 1/tau_e: the model then has a runaway pole in the upper half

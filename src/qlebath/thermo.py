@@ -47,8 +47,6 @@ from .response import ParticleModel, denominator_closure, mass_for_kernel
 # here is *exactly* zero past these cuts; integrating further is pure noise.
 _LOG_WEIGHT_CUT = 746.0   # for kT log(1 - e^-x)
 _BOSE_CUT = 800.0         # for 1/(e^x - 1)
-# absolute error at which every thermo quadrature may stop
-_EPSABS = 1e-15
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 
@@ -119,7 +117,7 @@ def welton_energy(T: float, mass: float,
         return pref * om * _bose(k.hbar * om / kT)
 
     pts = [0.0, w_th, 10.0 * w_th, 40.0 * w_th, _BOSE_CUT * w_th]
-    return quad(integrand, pts, epsabs=_EPSABS, epsrel=rtol)[:2]
+    return quad(integrand, pts, epsabs=0.0, epsrel=rtol)[:2]
 
 
 def _resonance(D_Dp, w0: float, gamma_w: float) -> tuple[float, float]:
@@ -229,18 +227,19 @@ def coupled_free_energy(kernel: MemoryKernel, model: ParticleModel, T: float,
         D, Dp = D_Dp(om)
         return -f * (Dp / D).imag / math.pi  # f * Im{-D'/D} / pi
 
-    value, err, _ = quad(integrand, pts, epsabs=_EPSABS, epsrel=rtol)
+    rounding = 0.0
     if K > 0:
         # |K - G| cannot see rounding shared by every node: at the line
         # D = K - m w^2 + w f(w) cancels down to its imaginary part, so the
         # integrand there is only good to eps (|K| + |m| w^2 + |w f|) / |D|,
-        # over a line of weight f(w_r).
+        # over a line of weight f(w_r).  The quadrature stops there too.
         m = mass_for_kernel(kernel, model)
         D, _ = D_Dp(w_r)
         size = K + abs(m) * w_r * w_r + abs(D - (K - m * w_r * w_r))
-        err += (_EPS * size / abs(D)
-                * abs(oscillator_free_energy(w_r, T, k)))
-    return value, err
+        rounding = (_EPS * size / abs(D)
+                    * abs(oscillator_free_energy(w_r, T, k)))
+    value, err, _ = quad(integrand, pts, epsabs=rounding, epsrel=rtol)
+    return value, err + rounding
 
 
 def free_energy_shift(kernel: MemoryKernel, model: ParticleModel, T: float,
@@ -278,7 +277,11 @@ def free_energy_shift(kernel: MemoryKernel, model: ParticleModel, T: float,
     cut = _BOSE_CUT * w_th
     if cut > pts[-1]:
         pts.append(cut)
-    return quad(integrand, pts, epsabs=_EPSABS, epsrel=rtol)[:2]
+    # arg D steps by -pi across the line, and rounding places the step only
+    # to within eps w_r: below that error, weighted by hbar n(w_r), the
+    # quadrature may stop.
+    rounding = _EPS * w_r * hbar * float(_bose(hbar * w_r / kT))
+    return quad(integrand, pts, epsabs=rounding, epsrel=rtol)[:2]
 
 
 def bbr_shift_closed_form(T: float, model: ParticleModel,
@@ -340,19 +343,6 @@ class FreeEnergyCurve:
         if self.baseline is None:
             return self.values.copy()
         return self.values - self.baseline
-
-    def to_json(self) -> dict:
-        out = {
-            "temperatures": self.temperatures.tolist(),
-            "values": self.values.tolist(),
-            "kernel": self.kernel_meta,
-            "model": self.model_meta,
-        }
-        if self.baseline is not None:
-            out["baseline"] = self.baseline.tolist()
-        if self.errors is not None:
-            out["errors"] = self.errors.tolist()
-        return out
 
 
 def free_energy_curve(kernel: MemoryKernel, model: ParticleModel,

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qlebath import (
@@ -113,6 +115,37 @@ def test_same_seed_reproduces_bitwise():
     c = simulate_classical_io(osc, model, 1.0, t, n_traj=5, seed=100)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
     assert not np.array_equal(a.x, c.x)
+
+
+def seed_sequence_states(seed, n_traj):
+    """NumPy's own PCG64 states for the children of SeedSequence(seed)."""
+    children = np.random.SeedSequence(seed).spawn(n_traj)
+    return [np.random.PCG64(child).state for child in children]
+
+
+# one to seven 32-bit entropy words; from five on, the hash runs past the pool
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7,
+                                  2 ** 128 + 3, 2 ** 200])
+@pytest.mark.parametrize("n_traj", [1, 2, 5, 4000])
+def test_streams_are_the_seed_sequence_children(seed, n_traj):
+    assert list(bath_sim._pcg64_states(seed, n_traj)) == \
+        seed_sequence_states(seed, n_traj)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1) | st.integers(0, 2 ** 300),
+       n_traj=st.integers(1, 40))
+def test_streams_match_the_seed_sequence_children_for_any_seed(seed, n_traj):
+    assert list(bath_sim._pcg64_states(seed, n_traj)) == \
+        seed_sequence_states(seed, n_traj)
+
+
+def test_spawn_keys_must_fit_one_uint32_word():
+    # raised before anything is allocated; the dump header stores n_traj as
+    # uint32 too
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        bath_sim._pcg64_states(7, 2 ** 32)
+    assert len(list(bath_sim._pcg64_states(7, 3))) == 3
 
 
 def reference_initial_data(m, w, kT, M, n_traj, seed, moving):

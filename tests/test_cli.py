@@ -253,6 +253,40 @@ def test_dump_of_a_non_uniform_grid_is_a_config_error(tmp_path, capsys, grid):
     validate_config(data)  # the same grid is valid without a dump
 
 
+def test_frozen_oracle_with_one_trajectory_is_a_config_error(tmp_path, capsys):
+    # the force statistics need a standard error: nothing may run or be left
+    data = {"command": "oracle", "seed": 5, "N": 40, "n_traj": 1, "T": 1.0,
+            "freeze_particle": True,
+            "kernel": {"variant": "ohmic", "gamma": 1.0},
+            "model": {"M": 1.0, "K": 0.0},
+            "grids": {"t": {"start": 0.0, "stop": 3.0, "num": 7}},
+            "output": {"dump": "raw.bin"}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config: n_traj")
+    assert not out.exists()
+    with pytest.raises(qlebath.ConfigError) as info:
+        validate_config(data)
+    assert info.value.key == "n_traj"
+    validate_config({**data, "freeze_particle": False})  # a moving run is valid
+
+
+def test_failed_oracle_statistics_leave_no_dump(tmp_path, capsys):
+    # N = 10 modes up to 16: the recurrence time ~3.9 falls inside the
+    # force-statistics window 5/gamma, which fails after the simulation
+    data = {"command": "oracle", "seed": 5, "N": 10, "omega_max": 16.0,
+            "n_traj": 8, "T": 1.0, "freeze_particle": True,
+            "kernel": {"variant": "ohmic", "gamma": 1.0},
+            "model": {"M": 1.0, "K": 0.0},
+            "grids": {"t": {"start": 0.0, "stop": 5.0, "num": 11}},
+            "output": {"dump": "raw.bin"}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 3
+    assert "recurrence" in capsys.readouterr().err
+    assert not (out / "raw.bin").exists()
+    assert not (out / "raw.bin.tmp").exists()
+
+
 def test_electron_motion_point_limit_and_runaway_summary(tmp_path):
     data = {"command": "electron-motion", "integrator": "abraham-lorentz",
             "model": {"M": 1.0, "K": 0.0}, "a0": 1.0,

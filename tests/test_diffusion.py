@@ -10,7 +10,6 @@ from qlebath import (
     GridError,
     OhmicKernel,
     ParticleModel,
-    diffusion_constant,
     msd,
     msd_curve,
     regime_tag,
@@ -76,7 +75,7 @@ def test_curve_is_monotone_and_reports_normal_diffusion():
 
 
 def test_diffusion_constant_default_window():
-    report = diffusion_constant(KERNEL, MODEL, KT, classical=True)
+    report = report_from_curve(msd_curve(KERNEL, MODEL, KT, classical=True))
     assert report.D == pytest.approx(KT / (MODEL.M * GAMMA), rel=1e-3)
     assert not report.anomalous
 

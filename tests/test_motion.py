@@ -13,7 +13,6 @@ from qlebath import (
     StepSizeError,
     bounded_al_acceleration,
     bounded_al_trajectory,
-    characteristic_roots,
     constant_with_ramp,
     gaussian_pulse,
     integrate_point_limit,
@@ -175,19 +174,6 @@ def test_zero_force_conserves_velocity():
     assert np.allclose(traj.x, 2.5 * t, rtol=1e-10, atol=1e-12)
     assert np.allclose(traj.v, 2.5, rtol=1e-10)
     assert np.allclose(traj.a, 0.0, atol=1e-12)
-
-
-def test_characteristic_roots():
-    model = free_model(Omega=0.2 / TAU_E)
-    roots = characteristic_roots(model, variant="cutoff")
-    assert roots[:2] == [0j, 0j]
-    assert roots[2].real == pytest.approx(-1.0 / (4.0 * model.tau_e), rel=1e-12)
-    al = characteristic_roots(model, variant="abraham_lorentz")
-    assert al[2].real == pytest.approx(1.0 / model.tau_e, rel=1e-12)
-    point = free_model()
-    assert len(characteristic_roots(point, variant="cutoff")) == 2
-    with pytest.raises(ValueError):
-        characteristic_roots(model, variant="nope")
 
 
 @pytest.mark.parametrize("integrate", [integrate_point_limit,

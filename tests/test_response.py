@@ -17,7 +17,6 @@ from qlebath import (
     bare_mass,
     denominator_closure,
     poles_and_causality,
-    renormalize_mass,
     susceptibility,
 )
 from qlebath.kernels import ELECTRON_MASS_CGS
@@ -109,6 +108,11 @@ def test_susceptibility_at_pole_raises():
     model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
     with pytest.raises(PoleEvaluationError):
         susceptibility(kernel, model, 1.0)
+
+
+def renormalize_mass(m_bare, Omega, constants):
+    """Reference observed mass M = m + (2 e^2 / 3 c^3) Omega."""
+    return m_bare + (2.0 * constants.e ** 2 / (3.0 * constants.c ** 3)) * Omega
 
 
 def test_mass_renormalization_round_trip():

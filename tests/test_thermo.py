@@ -193,6 +193,24 @@ def test_unresolvable_line_is_a_quadrature_error():
     assert abs(shift) <= 1e-12 * abs(oscillator_free_energy(1.0, T, k))
 
 
+def test_tolerance_reaches_the_cgs_quadratures():
+    # CGS electron: every energy here is far below one erg, so no fixed
+    # absolute error floor may decide when the quadrature stops
+    k = PhysicalConstants.cgs()
+    M = 9.109e-28
+    model = ParticleModel(M=M, K=M * 1e30, Omega=1e20, constants=k)
+    coarse, err_coarse = free_energy_shift(model.kernel(), model, 300.0,
+                                           rtol=1e-8)
+    fine, err_fine = free_energy_shift(model.kernel(), model, 300.0,
+                                       rtol=1e-13)
+    assert err_fine <= 1e-13 * abs(fine)
+    assert err_fine < err_coarse
+    assert abs(fine - coarse) <= err_coarse + err_fine
+    value, err = welton_energy(300.0, M, k, rtol=1e-13)
+    assert err <= 1e-13 * value
+    assert value == pytest.approx(welton_closed_form(300.0, M, k), rel=1e-13)
+
+
 def test_curve_shift_property_and_metadata():
     kernel = OhmicKernel(gamma=0.1)
     model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
