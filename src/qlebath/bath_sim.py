@@ -58,23 +58,35 @@ class BathOscillator:
         return self.m_j * self.omega_j ** 2
 
 
-def discretize_bath(kernel: MemoryKernel, N: int, omega_max: float) -> list:
-    """Uniform-frequency bath with weights m_j omega_j^2 = (2/pi) Re mu(omega_j) dw.
+def bath_frequencies(kernel: MemoryKernel, N: int,
+                     omega_max: float | None = None) -> np.ndarray:
+    """Midpoint mode frequencies (j - 1/2) dw, j = 1..N, dw = omega_max / N.
 
-    Midpoint nodes omega_j = (j - 1/2) dw, j = 1..N, dw = omega_max / N; the
-    uniform grid makes the recurrence time 2 pi/dw sharp.  omega_max must sit
-    well beyond the kernel's support scale (>= 10 kernel.scale).
+    omega_max defaults to 16 kernel.scale and must sit well beyond the
+    kernel's support scale (>= 10 kernel.scale); raises GridError otherwise.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 2):
         raise GridError("bath discretization needs N >= 2")
+    if omega_max is None:
+        omega_max = 16.0 * kernel.scale
     if not (omega_max > 0 and math.isfinite(omega_max)):
         raise GridError("omega_max must be positive and finite")
     if omega_max < 10.0 * kernel.scale:
         raise GridError(
             f"omega_max = {omega_max:.6g} does not cover the kernel support "
             f"(need >= 10 * kernel scale = {10.0 * kernel.scale:.6g})")
-    dw = omega_max / N
-    nodes = (np.arange(1, N + 1) - 0.5) * dw
+    return (np.arange(1, N + 1) - 0.5) * (omega_max / N)
+
+
+def discretize_bath(kernel: MemoryKernel, N: int,
+                    omega_max: float | None = None) -> list:
+    """Uniform-frequency bath with weights m_j omega_j^2 = (2/pi) Re mu(omega_j) dw.
+
+    The modes sit at bath_frequencies(kernel, N, omega_max); the uniform
+    grid makes the recurrence time 2 pi/dw sharp.
+    """
+    nodes = bath_frequencies(kernel, N, omega_max)
+    dw = 2.0 * nodes[0]   # the first midpoint is dw/2, exactly
     re_mu = np.asarray(kernel.re_mu_real_axis(nodes), dtype=float)
     weights = (2.0 / math.pi) * re_mu * dw
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
@@ -94,9 +106,10 @@ def _bath_arrays(oscillators):
     return m, w, m * w ** 2
 
 
-def recurrence_time(oscillators) -> float:
-    """Poincare recurrence horizon 2 pi / (frequency spacing) of the bath."""
-    _, w, _ = _bath_arrays(oscillators)
+def recurrence_time(bath) -> float:
+    """Poincare recurrence horizon 2 pi / (frequency spacing) of a bath,
+    given as its oscillators or as the array of their frequencies."""
+    w = bath if isinstance(bath, np.ndarray) else _bath_arrays(bath)[1]
     if w.size < 2:
         return math.inf
     dw = float(np.mean(np.diff(np.sort(w))))
@@ -334,6 +347,19 @@ class FdtReport:
         }
 
 
+def comparison_window(kernel: MemoryKernel, t_rec: float) -> float:
+    """End 5 / kernel.scale of the force-statistics window.
+
+    Raises GridError when it lies past the bath recurrence horizon t_rec.
+    """
+    window_end = 5.0 / kernel.scale
+    if window_end > t_rec:
+        raise GridError(
+            f"comparison window 5/scale = {window_end:.6g} exceeds the bath "
+            f"recurrence horizon t_rec = {t_rec:.6g}; refine the bath grid")
+    return window_end
+
+
 def force_autocorrelation_check(ens: Ensemble, oscillators,
                                 kernel: MemoryKernel) -> FdtReport:
     """Check <F(t)F(0)> = kT mu(t) on a frozen-particle ensemble.
@@ -346,12 +372,7 @@ def force_autocorrelation_check(ens: Ensemble, oscillators,
     if ens.force is None:
         raise ValueError("ensemble was not generated with freeze_particle=True; "
                          "the bath force is not observable")
-    window_end = 5.0 / kernel.scale
-    t_rec = recurrence_time(oscillators)
-    if window_end > t_rec:
-        raise GridError(
-            f"comparison window 5/scale = {window_end:.6g} exceeds the bath "
-            f"recurrence horizon t_rec = {t_rec:.6g}; refine the bath grid")
+    window_end = comparison_window(kernel, recurrence_time(oscillators))
     mask = ens.times <= window_end
     if int(mask.sum()) < 2:
         raise GridError("time grid has fewer than two points inside the "

@@ -41,27 +41,18 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _csv_text(header, columns) -> str:
+    """CSV of the columns: numbers as repr(float), strings as they are."""
+    cells = [col if len(col) and isinstance(col[0], str)
+             else map(repr, np.asarray(col, dtype=float).tolist())
+             for col in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
-def _write_artifacts(cfg: RunConfig, header, rows, meta: dict) -> None:
+def _write_artifacts(cfg: RunConfig, header, columns, meta: dict) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, cfg.output["csv"])
-    _atomic_write_text(csv_path, _csv_text(header, rows))
+    _atomic_write_text(csv_path, _csv_text(header, columns))
     sidecar = cfg.to_json()
     sidecar["meta"] = {
         "package": "qlebath",
@@ -70,7 +61,7 @@ def _write_artifacts(cfg: RunConfig, header, rows, meta: dict) -> None:
         **meta,
     }
     json_path = os.path.join(cfg.out_dir, cfg.output["json"])
-    _atomic_write_text(json_path, json.dumps(sidecar, indent=2) + "\n")
+    _atomic_write_text(json_path, json.dumps(sidecar) + "\n")
 
 
 def _dim_factor(cfg: RunConfig) -> float:
@@ -79,21 +70,19 @@ def _dim_factor(cfg: RunConfig) -> float:
 
 
 def _run_susceptibility(cfg: RunConfig) -> dict:
-    kernel, model = cfg.kernel(), cfg.model()
-    rows = []
-    for omega in cfg.grid("omega"):
-        alpha = susceptibility(kernel, model, complex(omega, 0.0))
-        rows.append((omega, alpha.real, alpha.imag))
-    _write_artifacts(cfg, ("omega", "re_alpha", "im_alpha"), rows,
-                     {"result": {"points": len(rows)}})
+    omega = cfg.grid("omega")
+    alpha = susceptibility(cfg.kernel(), cfg.model(), omega + 0j)
+    _write_artifacts(cfg, ("omega", "re_alpha", "im_alpha"),
+                     (omega, alpha.real, alpha.imag),
+                     {"result": {"points": omega.size}})
     return {}
 
 
 def _run_causality(cfg: RunConfig) -> dict:
     kernel, model = cfg.kernel(), cfg.model()
     report = poles_and_causality(kernel, model)
-    rows = [(z.real, z.imag) for z in report.poles]
-    _write_artifacts(cfg, ("re_pole", "im_pole"), rows,
+    poles = np.array(report.poles, dtype=complex)
+    _write_artifacts(cfg, ("re_pole", "im_pole"), (poles.real, poles.imag),
                      {"result": report.to_json()})
     return report.to_json()
 
@@ -119,15 +108,11 @@ def _run_thermo(cfg: RunConfig, use_shift_route: bool) -> dict:
     else:
         deriv_note = "need at least 5 temperatures for derivatives"
 
-    nan = float("nan")
-    rows = []
-    for i, T in enumerate(temps):
-        U = derivs["U"][i] if derivs is not None else nan
-        S = derivs["S"][i] if derivs is not None else nan
-        C = derivs["C"][i] if derivs is not None else nan
-        rows.append((T, factor * curve.values[i], factor * curve.baseline[i],
-                     factor * shifts[i], factor * U, factor * S, factor * C,
-                     factor * errors[i]))
+    if derivs is None:
+        derivs = dict.fromkeys("USC", np.full(temps.size, np.nan))
+    columns = (temps, *(factor * col for col in (
+        curve.values, curve.baseline, shifts, derivs["U"], derivs["S"],
+        derivs["C"], errors)))
 
     result = {"max_quad_error": float(np.max(errors))}
     if deriv_note is not None:
@@ -140,7 +125,7 @@ def _run_thermo(cfg: RunConfig, use_shift_route: bool) -> dict:
             result["t2_closed_form"] = thermo.bbr_shift_closed_form(
                 1.0, model, dimensions=cfg.dim)
     _write_artifacts(cfg, ("T", "F0", "baseline", "shift", "U", "S", "C",
-                           "quad_error"), rows, {"result": result})
+                           "quad_error"), columns, {"result": result})
     return result
 
 
@@ -148,16 +133,15 @@ def _run_welton(cfg: RunConfig) -> dict:
     model = cfg.model()
     k = cfg.constants
     factor = _dim_factor(cfg) / 3.0   # the stored integrand is the 3D form
-    rows = []
-    max_rel = 0.0
-    for T in cfg.grid("T"):
-        value, err = thermo.welton_energy(T, model.M, k, rtol=cfg.tolerance)
-        closed = thermo.welton_closed_form(T, model.M, k)
-        if closed != 0.0:
-            max_rel = max(max_rel, abs(value - closed) / abs(closed))
-        rows.append((T, factor * value, factor * closed, factor * err))
+    temps = cfg.grid("T")
+    values, errors = np.array([thermo.welton_energy(T, model.M, k,
+                                                    rtol=cfg.tolerance)
+                               for T in temps]).T
+    closed = np.array([thermo.welton_closed_form(T, model.M, k) for T in temps])
+    rel = [abs(v - c) / abs(c) for v, c in zip(values, closed) if c != 0.0]
     _write_artifacts(cfg, ("T", "welton_energy", "closed_form", "quad_error"),
-                     rows, {"result": {"max_rel_dev_vs_closed_form": max_rel}})
+                     (temps, factor * values, factor * closed, factor * errors),
+                     {"result": {"max_rel_dev_vs_closed_form": max([0.0, *rel])}})
     return {}
 
 
@@ -190,10 +174,8 @@ def _run_electron_motion(cfg: RunConfig) -> dict:
         variant = "cutoff" if integrator == "cutoff" else "abraham_lorentz"
         traj = motion.integrate_third_order(sig, model, t_grid, x0=x0, v0=v0,
                                             a0=a0, variant=variant)
-    nan = float("nan")
-    a = traj.a if traj.a is not None else [nan] * len(traj.times)
-    rows = list(zip(traj.times, traj.x, traj.v, a))
-    _write_artifacts(cfg, ("t", "x", "v", "a"), rows,
+    a = traj.a if traj.a is not None else np.full(len(traj.times), np.nan)
+    _write_artifacts(cfg, ("t", "x", "v", "a"), (traj.times, traj.x, traj.v, a),
                      {"result": traj.summary_json()})
     return traj.summary_json()
 
@@ -207,8 +189,8 @@ def _run_diffusion(cfg: RunConfig) -> dict:
                                 rtol=cfg.tolerance)
     tags = diffusion.regime_tag(curve)
     report = diffusion.report_from_curve(curve)
-    rows = list(zip(curve.times, curve.values, tags))
-    _write_artifacts(cfg, ("t", "msd", "regime_tag"), rows,
+    _write_artifacts(cfg, ("t", "msd", "regime_tag"),
+                     (curve.times, curve.values, tags),
                      {"result": report.to_json()})
     return report.to_json()
 
@@ -216,10 +198,7 @@ def _run_diffusion(cfg: RunConfig) -> dict:
 def _run_oracle(cfg: RunConfig) -> dict:
     kernel, model = cfg.kernel(), cfg.model()
     opts = cfg.options
-    omega_max = opts["omega_max"]
-    if omega_max is None:
-        omega_max = 16.0 * kernel.scale
-    oscillators = bath_sim.discretize_bath(kernel, opts["N"], omega_max)
+    oscillators = bath_sim.discretize_bath(kernel, opts["N"], opts["omega_max"])
     t_grid = cfg.grid("t")
     ens = bath_sim.simulate_classical_io(
         oscillators, model, opts["T"], t_grid, opts["n_traj"], cfg.seed,
@@ -229,12 +208,11 @@ def _run_oracle(cfg: RunConfig) -> dict:
     if opts["freeze_particle"]:
         report = bath_sim.force_autocorrelation_check(ens, oscillators, kernel)
         header = ("t", "facf_mean", "facf_stderr", "facf_target")
-        rows = list(zip(report.times, report.estimate, report.stderr,
-                        report.target))
+        columns = (report.times, report.estimate, report.stderr, report.target)
         result = {**report.to_json(), "t_rec": t_rec}
     else:
         header = ("t", "msd_mean", "msd_stderr")
-        rows = list(zip(*bath_sim.ensemble_msd(ens)))
+        columns = bath_sim.ensemble_msd(ens)
         result = {"n_traj": ens.n_traj, "N_bath": ens.N_bath, "t_rec": t_rec}
 
     # The dump is written only once the statistics have succeeded, so a
@@ -245,7 +223,7 @@ def _run_oracle(cfg: RunConfig) -> dict:
         tmp = dump_path + ".tmp"
         bath_sim.dump_ensemble(ens, tmp)
         os.replace(tmp, dump_path)
-    _write_artifacts(cfg, header, rows, {"result": result})
+    _write_artifacts(cfg, header, columns, {"result": result})
     return result
 
 
@@ -283,23 +261,24 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="qlebath",
-        description="Heat-bath response, thermodynamics, radiation reaction, "
-                    "diffusion, and microscopic-oracle sweeps.")
-    parser.add_argument("--config", required=True,
-                        help="path to a JSON run configuration")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="output directory (overrides config out_dir)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--units", choices=("dimensionless", "cgs"),
-                        default=None, help="override the unit system")
-    parser.add_argument("--dim", type=int, choices=(1, 3), default=None,
-                        help="override the dimension convention")
-    args = parser.parse_args(argv)
+_PARSER = argparse.ArgumentParser(
+    prog="qlebath",
+    description="Heat-bath response, thermodynamics, radiation reaction, "
+                "diffusion, and microscopic-oracle sweeps.")
+_PARSER.add_argument("--config", required=True,
+                     help="path to a JSON run configuration")
+_PARSER.add_argument("--out", default=None, metavar="DIR",
+                     help="output directory (overrides config out_dir)")
+_PARSER.add_argument("--seed", type=int, default=None,
+                     help="override the config seed")
+_PARSER.add_argument("--units", choices=("dimensionless", "cgs"),
+                     default=None, help="override the unit system")
+_PARSER.add_argument("--dim", type=int, choices=(1, 3), default=None,
+                     help="override the dimension convention")
 
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     overrides = {"out_dir": args.out, "seed": args.seed,
                  "units": args.units, "dim": args.dim}
     try:

@@ -6,7 +6,7 @@ A config file is a single JSON object.  Keys common to every command:
                welton, electron-motion, diffusion, oracle   (required)
     units      "dimensionless" (default) or "cgs"
     dim        1 (default) or 3 -- applies the multiply-by-three convention
-    seed       unsigned integer; required for the oracle command
+    seed       integer in [0, 2**64); required for the oracle command
     tolerance  float, default 1e-8 (quadrature/fit tolerance where relevant)
     kernel     {"variant": "ohmic"|"single_relaxation"|"blackbody", ...}; the
                kernel's mass ("mass", blackbody "M") defaults to model.M and
@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bath_sim
 from ._grid import is_uniform_grid
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .kernels import DIMENSIONLESS, PhysicalConstants, kernel_from_json
 from .response import ParticleModel
 
@@ -359,8 +360,11 @@ def validate_config(data: dict) -> RunConfig:
         raise ConfigError("dim must be 1 or 3", key="dim")
     seed = data.get("seed")
     if seed is not None:
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed must be a nonnegative integer", key="seed")
+        if (isinstance(seed, bool) or not isinstance(seed, int)
+                or not 0 <= seed < 2 ** 64):
+            raise ConfigError("seed must be a nonnegative integer below 2**64: "
+                              "the ensemble dump stores it as uint64",
+                              key="seed")
     tolerance = _require_number(data.get("tolerance", 1.0e-8), "tolerance",
                                 positive=True)
 
@@ -415,9 +419,16 @@ def validate_config(data: dict) -> RunConfig:
         elif name in ("x0", "v0", "a0", "T"):
             value = _require_number(value, name,
                                     nonneg=(name == "T"))
-        elif name in ("N", "n_traj"):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer", key=name)
+        elif name == "N":
+            if isinstance(value, bool) or not isinstance(value, int) or value < 2:
+                raise ConfigError("N must be an integer >= 2: the bath needs "
+                                  "a frequency spacing", key=name)
+        elif name == "n_traj":
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or not 1 <= value < 2 ** 32):
+                raise ConfigError("n_traj must be a positive integer below "
+                                  "2**32: one uint32 stream key per trajectory",
+                                  key=name)
         elif name == "omega_max":
             if value is not None:
                 value = _require_number(value, name, positive=True)
@@ -448,8 +459,28 @@ def validate_config(data: dict) -> RunConfig:
     # (e.g. blackbody Omega vs model Omega) before any work starts.
     cfg.model()
     if cfg.kernel_spec is not None:
-        cfg.kernel()
+        kernel = cfg.kernel()
+        if command == "oracle":
+            _check_oracle_bath(kernel, options)
     return cfg
+
+
+def _check_oracle_bath(kernel, options: dict) -> None:
+    """The bath-grid checks of an oracle run, made before any work starts.
+
+    They are the very checks discretize_bath and, for a frozen particle,
+    force_autocorrelation_check make, on the same frequencies.
+    """
+    try:
+        w = bath_sim.bath_frequencies(kernel, options["N"],
+                                      options["omega_max"])
+    except GridError as exc:
+        raise ConfigError(str(exc), key="omega_max") from exc
+    if options["freeze_particle"]:
+        try:
+            bath_sim.comparison_window(kernel, bath_sim.recurrence_time(w))
+        except GridError as exc:
+            raise ConfigError(str(exc), key="N") from exc
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:

@@ -140,8 +140,8 @@ def denominator_closure(kernel: MemoryKernel, model: ParticleModel):
 def susceptibility(kernel: MemoryKernel, model: ParticleModel, z):
     """alpha(z) = 1/D(z) for Im z >= 0.
 
-    Raises PoleEvaluationError when |D| underflows relative to its terms,
-    i.e. z sits numerically on a pole.
+    Raises PoleEvaluationError, naming the first such z, when |D| underflows
+    relative to its terms, i.e. z sits numerically on a pole.
     """
     m = mass_for_kernel(kernel, model)
     K = model.K
@@ -152,10 +152,9 @@ def susceptibility(kernel: MemoryKernel, model: ParticleModel, z):
     magnitude = np.maximum(np.abs(t_mass) + np.abs(t_fric) + abs(K), 1e-300)
     bad = np.abs(d) < 1e-14 * magnitude
     if np.any(bad):
-        where = z[bad] if z.ndim else complex(z)
         raise PoleEvaluationError(
-            f"susceptibility evaluated at (or numerically at) a pole: z = {where}"
-        )
+            "susceptibility evaluated at (or numerically at) a pole: "
+            f"z = {complex(z[bad][0])}")
     val = 1.0 / d
     return complex(val) if val.ndim == 0 else val
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import qlebath
-from qlebath import diffusion, load_ensemble, motion, validate_config
+from qlebath import cli, diffusion, load_ensemble, motion, validate_config
 from qlebath.cli import main as cli_main
 
 TAU_E_INVERSE = 1.0 / (2.0 * (1.0 / 137.036) / 3.0)  # dimensionless 1/tau_e
@@ -272,19 +272,106 @@ def test_frozen_oracle_with_one_trajectory_is_a_config_error(tmp_path, capsys):
 
 
 def test_failed_oracle_statistics_leave_no_dump(tmp_path, capsys):
-    # N = 10 modes up to 16: the recurrence time ~3.9 falls inside the
-    # force-statistics window 5/gamma, which fails after the simulation
-    data = {"command": "oracle", "seed": 5, "N": 10, "omega_max": 16.0,
-            "n_traj": 8, "T": 1.0, "freeze_particle": True,
+    # two trajectories cannot resolve <F(0)^2>: the statistics fail only
+    # after the simulation
+    data = {"command": "oracle", "seed": 5, "N": 40, "omega_max": 16.0,
+            "n_traj": 2, "T": 1.0, "freeze_particle": True,
             "kernel": {"variant": "ohmic", "gamma": 1.0},
             "model": {"M": 1.0, "K": 0.0},
             "grids": {"t": {"start": 0.0, "stop": 5.0, "num": 11}},
             "output": {"dump": "raw.bin"}}
     rc, out = run_cli(tmp_path, data)
     assert rc == 3
-    assert "recurrence" in capsys.readouterr().err
+    assert "insufficient statistics" in capsys.readouterr().err
     assert not (out / "raw.bin").exists()
     assert not (out / "raw.bin.tmp").exists()
+
+
+ORACLE_BASE = {"command": "oracle", "seed": 5, "N": 40, "n_traj": 8, "T": 1.0,
+               "kernel": {"variant": "ohmic", "gamma": 1.0},
+               "model": {"M": 1.0, "K": 0.0},
+               "grids": {"t": {"start": 0.0, "stop": 5.0, "num": 11}},
+               "output": {"dump": "raw.bin"}}
+
+
+def assert_config_error(tmp_path, capsys, data, key):
+    """Exit 2 with the key named, before anything is written."""
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not out.exists()
+    with pytest.raises(qlebath.ConfigError) as info:
+        validate_config(data)
+    assert info.value.key == key
+
+
+def test_oracle_seed_must_fit_the_dump(tmp_path, capsys):
+    # the dump packs the seed as uint64
+    assert_config_error(tmp_path, capsys, {**ORACLE_BASE, "seed": 2 ** 64},
+                        "seed")
+    rc, out = run_cli(tmp_path, {**ORACLE_BASE, "seed": 2 ** 64 - 1}, out="max")
+    assert rc == 0
+    assert load_ensemble(out / "raw.bin").seed == 2 ** 64 - 1
+
+
+def test_oracle_n_traj_must_fit_a_uint32_stream_key(tmp_path, capsys,
+                                                    monkeypatch):
+    # checked at config time only: a run of this size must never start
+    def no_run(cfg):
+        raise AssertionError("the run must not start")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    assert_config_error(tmp_path, capsys, {**ORACLE_BASE, "n_traj": 2 ** 32},
+                        "n_traj")
+    validate_config({**ORACLE_BASE, "n_traj": 2 ** 32 - 1})
+
+
+def test_oracle_bath_needs_two_modes(tmp_path, capsys):
+    assert_config_error(tmp_path, capsys, {**ORACLE_BASE, "N": 1}, "N")
+
+
+def test_oracle_omega_max_must_cover_the_kernel(tmp_path, capsys):
+    # gamma = 1 sets the kernel scale: omega_max >= 10
+    assert_config_error(tmp_path, capsys, {**ORACLE_BASE, "omega_max": 9.0},
+                        "omega_max")
+    validate_config({**ORACLE_BASE, "omega_max": 10.0})
+
+
+def test_frozen_window_past_the_recurrence_horizon_is_a_config_error(
+        tmp_path, capsys):
+    # N = 10 modes up to 16: t_rec = 2 pi 10/16 ~ 3.9 < 5/gamma = 5
+    data = {**ORACLE_BASE, "N": 10, "omega_max": 16.0, "freeze_particle": True}
+    assert_config_error(tmp_path, capsys, data, "N")
+    with pytest.raises(qlebath.ConfigError, match="recurrence horizon"):
+        validate_config(data)
+    validate_config({**data, "N": 13})     # t_rec ~ 5.1
+    validate_config({**data, "freeze_particle": False})  # no force window
+
+
+def test_susceptibility_on_a_pole_is_a_numerical_error(tmp_path, capsys):
+    # undamped oscillator: omega = 1 is a pole of alpha
+    data = {"command": "susceptibility", "kernel": {"variant": "ohmic",
+                                                    "gamma": 0.0},
+            "model": {"M": 1.0, "K": 1.0},
+            "grids": {"omega": {"start": 0.5, "stop": 1.5, "num": 3}}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 3
+    assert capsys.readouterr().err.rstrip().endswith("z = (1+0j)")
+    assert not (out / "susceptibility.csv").exists()
+
+
+def test_main_calls_do_not_share_overrides(tmp_path):
+    data, _ = SMOKE_CASES["welton"]
+    # one process, one parser: each call resolves only its own flags
+    path = write_config(tmp_path, {**data, "seed": 3})
+    calls = [(("--seed", "9", "--dim", "3"), 9, 3), ((), 3, 1),
+             (("--dim", "3"), 3, 3), (("--seed", "11"), 11, 1), ((), 3, 1)]
+    for i, (extra, seed, dim) in enumerate(calls):
+        out = tmp_path / f"run{i}"
+        assert cli_main(["--config", str(path), "--out", str(out),
+                         *extra]) == 0
+        sidecar = json.loads((out / "welton.json").read_text())
+        assert (sidecar["seed"], sidecar["dim"]) == (seed, dim), extra
 
 
 def test_electron_motion_point_limit_and_runaway_summary(tmp_path):

@@ -27,6 +27,7 @@ from qlebath import (
     oscillator_free_energy,
     poles_and_causality,
 )
+from qlebath.cli import _csv_text
 
 # derandomize: the same examples on every run, so the suite stays a fixed gate
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -183,3 +184,51 @@ def test_dump_and_load_round_trip(ens):
         np.testing.assert_array_equal(_bits(back.force), _bits(ens.force))
     assert back.times.shape == ens.times.shape
     assert np.max(np.abs(back.times - ens.times)) <= 1e-12 * ens.times[-1]
+
+
+def _per_cell_csv(header, rows) -> str:
+    """The CSV writer as it was, one cell at a time: the reference."""
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+    lines = [",".join(header)]
+    lines += [",".join(cell(value) for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+edge_floats = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                               0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+                               -1e308])
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    floats = hnp.arrays(np.float64, n_rows, elements=st.floats() | edge_floats)
+    columns = [draw(floats) for _ in range(draw(st.integers(1, 4)))]
+    # runners hand over arrays or plain lists of floats
+    columns = [col.tolist() if draw(st.booleans()) else col for col in columns]
+    if draw(st.booleans()):
+        tags = st.sampled_from(["ballistic", "diffusive", "anomalous"])
+        columns.insert(draw(st.integers(0, len(columns))),
+                       draw(st.lists(tags, min_size=n_rows, max_size=n_rows)))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@PROPERTY_SETTINGS
+@given(table=tables())
+def test_column_csv_matches_the_per_cell_writer(table):
+    header, columns = table
+    assert _csv_text(header, columns) == _per_cell_csv(header, zip(*columns))
+
+
+def test_a_table_without_rows_is_its_header_line():
+    # what a causality run with no poles hands over
+    poles = np.array((), dtype=complex)
+    assert _csv_text(("re_pole", "im_pole"), (poles.real, poles.imag)) \
+        == "re_pole,im_pole\n"
