@@ -173,9 +173,10 @@ def _run_electron_motion(cfg: RunConfig) -> dict:
     else:
         variant = "cutoff" if integrator == "cutoff" else "abraham_lorentz"
         traj = motion.integrate_third_order(sig, model, t_grid, x0=x0, v0=v0,
-                                            a0=a0, variant=variant)
-    a = traj.a if traj.a is not None else np.full(len(traj.times), np.nan)
-    _write_artifacts(cfg, ("t", "x", "v", "a"), (traj.times, traj.x, traj.v, a),
+                                            a0=a0, variant=variant,
+                                            rtol=cfg.tolerance)
+    _write_artifacts(cfg, ("t", "x", "v", "a"),
+                     (traj.times, traj.x, traj.v, traj.a),
                      {"result": traj.summary_json()})
     return traj.summary_json()
 

@@ -26,8 +26,10 @@ explicit function of time, so both go through one RK4 path with no state
 feedback: a(t) is sampled once at the quarter points of each grid interval,
 the paths at the grid step and at half of it are running sums, and their
 endpoint disagreement is the step check.  The third-order equations are
-linear, so an RK4 substep maps a to r a + g, and x, v are the same running
-sums over the stage values of a.  Drives are sampled on arrays of times.
+linear, a' = q a + s(t): however stiff q is, each grid interval is one exact
+exponential step for s interpolated at the same quarter points (Hochbruck &
+Ostermann, Acta Numerica 19, 209 (2010)), a is a scalar recurrence and x, v
+are running sums.  Drives are sampled on arrays of times.
 """
 
 from __future__ import annotations
@@ -43,10 +45,16 @@ from .errors import StepSizeError
 from .response import ParticleModel
 
 _VARIANTS = ("cutoff", "abraham_lorentz")
-_MAX_INTERNAL_STEPS = 2_000_000
 _RUNAWAY_RATE_FACTOR = 1e-3  # flag when fitted rate > this / tau_e
 _RUNAWAY_R2 = 0.99
-_BLOCK_SUBSTEPS = 8192  # third-order substeps per block: bounds the working set
+_QUARTERS = np.array([0.0, 0.25, 0.5, 0.75])
+# phi_7's Taylor coefficients 1/(j + 7)!, highest power first: rounding for |z| < 5
+_PHI7_TAYLOR = np.array([1.0 / math.factorial(j + 7) for j in range(29, -1, -1)])
+# row i: the Lagrange polynomial of the quarter point i/4, sum_k l_ik s^k, as
+# l_ik k!, so that int_0^1 e^{z (1 - s)} l_i(s) ds = sum_k l_ik k! phi_{k+1}(z)
+_LAGRANGE = np.array([[3, -25, 140, -480, 768], [0, 48, -416, 1728, -3072],
+                      [0, -36, 456, -2304, 4608], [0, 16, -224, 1344, -3072],
+                      [0, -3, 44, -288, 768]]) / 3.0
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ class Trajectory:
     times: np.ndarray
     x: np.ndarray
     v: np.ndarray
-    a: np.ndarray | None = None
+    a: np.ndarray
     runaway_flag: bool = False
     growth_rate: float | None = None
     fit_rate: float | None = None
@@ -138,10 +146,8 @@ class Trajectory:
 
     def __post_init__(self):
         n = len(self.times)
-        if len(self.x) != n or len(self.v) != n:
-            raise ValueError("times, x, v must have equal length")
-        if self.a is not None and len(self.a) != n:
-            raise ValueError("a must match times in length")
+        if not len(self.x) == len(self.v) == len(self.a) == n:
+            raise ValueError("times, x, v, a must have equal length")
         if self.runaway_flag and self.growth_rate is None:
             raise ValueError("runaway trajectories must record growth_rate")
         if not self.runaway_flag and self.growth_rate is not None:
@@ -207,6 +213,11 @@ def _rk4_known(h: np.ndarray, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray,
     return np.cumsum(np.concatenate(([x0], dx))), v
 
 
+def _quarter_samples(fn, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """fn at the quarter points of every interval and at t[-1], one call."""
+    return fn(np.append((t[:-1, None] + h[:, None] * _QUARTERS).ravel(), t[-1]))
+
+
 def _integrate_known_acceleration(accel, t_grid, x0: float, v0: float,
                                   rtol: float, tau_e: float) -> Trajectory:
     """Integrate xdd = accel(t) by RK4 at the grid step and at half of it.
@@ -219,8 +230,7 @@ def _integrate_known_acceleration(accel, t_grid, x0: float, v0: float,
     """
     t = check_time_grid(t_grid)
     h = np.diff(t)
-    quarters = t[:-1, None] + h[:, None] * np.array([0.0, 0.25, 0.5, 0.75])
-    samples = accel(np.append(quarters.ravel(), t[-1]))
+    samples = _quarter_samples(accel, t, h)
     x_full, v_full = _rk4_known(h, samples[0:-1:4], samples[2::4],
                                 samples[2::4], samples[4::4], x0, v0)
     x_half, v_half = _rk4_known(np.repeat(0.5 * h, 2), samples[0:-1:2],
@@ -241,56 +251,63 @@ def _integrate_known_acceleration(accel, t_grid, x0: float, v0: float,
                       fit_rate=fit_rate, fit_r2=fit_r2)
 
 
-def _third_order_path(source, q: float, t: np.ndarray, n_sub: int,
-                      x: float, v: float, a: float):
-    """Classic RK4 for x' = v, v' = a, a' = q a + source(t) with n_sub
-    substeps per grid interval, in blocks of _BLOCK_SUBSTEPS substeps.
+def _phi(z: np.ndarray) -> np.ndarray:
+    """phi_0(z) = e^z, phi_1(z) = (e^z - 1)/z, ..., phi_7(z) as rows.
 
-    A substep of size h maps a to r a + g, r = 1 + z + z^2/2 + z^3/6 + z^4/24
-    (z = q h), g its value from a = 0: the only sequential loop.  The stage
-    values are arrays and x, v running sums (``_rk4_known``).  Returns the
-    (x, v, a) samples at t and n_good, which stops before the first grid
-    point where the state is not finite."""
-    out = np.empty((len(t), 3))
-    out[0] = x, v, a
-    a = float(a)  # a Python float overflows to inf without a warning
-    h_int = np.diff(t) / n_sub
-    r_int = np.polyval([1.0 / 24.0, 1.0 / 6.0, 0.5, 1.0, 1.0], q * h_int)
-    n_steps = n_sub * len(h_int)
-    for k0 in range(0, n_steps, _BLOCK_SUBSTEPS):
-        k1 = min(k0 + _BLOCK_SUBSTEPS, n_steps)
-        # interval of each substep start (and of the block's end), place in it
-        i, j = np.divmod(np.arange(k0, k1 + 1), n_sub)
-        h_all = h_int[np.minimum(i, len(h_int) - 1)]
-        starts, h = t[i] + j * h_all, h_all[:-1]
-        s = source(np.concatenate((starts, starts[:-1] + 0.5 * h)))
-        s0, s1, sm = s[:k1 - k0], s[1:k1 - k0 + 1], s[k1 - k0 + 1:]
-        k2 = q * (0.5 * h * s0) + sm
-        k3 = q * (0.5 * h * k2) + sm
-        g = (h / 6.0 * (s0 + 2.0 * k2 + 2.0 * k3 + q * (h * k3) + s1)).tolist()
-        # r is constant within an interval: one inner loop per interval
-        cuts = (np.flatnonzero(np.diff(i[:-1])) + 1).tolist()
-        a_starts = []
-        for rk, lo, hi in zip(r_int[i[[0] + cuts]].tolist(), [0] + cuts,
-                              cuts + [len(g)]):
-            for gk in g[lo:hi]:
-                a_starts.append(a)
-                a = rk * a + gk
-        with np.errstate(over="ignore", invalid="ignore"):
-            a1 = np.fromiter(a_starts, float, len(a_starts))
-            a2 = a1 + 0.5 * h * (q * a1 + s0)
-            a3 = a1 + 0.5 * h * (q * a2 + sm)
-            a4 = a1 + h * (q * a3 + sm)
-            xs, vs = _rk4_known(h, a1, a2, a3, a4, x, v)
-        on_grid = np.flatnonzero(j[1:] == 0) + 1  # block points on the grid
-        block = np.column_stack((xs, vs, np.append(a1, a)))[on_grid]
-        # the rows before the first one that is not finite
-        n_ok = int(np.argmin(np.append(np.isfinite(block).all(axis=1), False)))
-        out[i[on_grid[:n_ok]]] = block[:n_ok]
-        if n_ok < len(block):
-            return out, int(i[on_grid[n_ok]])
-        x, v = xs[-1], vs[-1]
-    return out, len(t)
+    The upward recurrence phi_{k+1} = (phi_k - 1/k!)/z loses digits for
+    small |z|, so for |z| < 5 phi_7 is its Taylor series and phi_6 ... phi_2
+    follow downward, phi_k = z phi_{k+1} + 1/k!, which loses digits for large
+    |z|.  Large positive z overflows to inf.
+    """
+    phi = np.empty((8, len(z)))
+    with np.errstate(over="ignore"):
+        phi[0] = np.exp(z)
+        phi[1] = np.divide(np.expm1(z), z, out=np.ones(len(z)), where=z != 0.0)
+    small = np.abs(z) < 5.0
+    zs, zl = z[small], z[~small]
+    down = [np.vander(zs, len(_PHI7_TAYLOR)) @ _PHI7_TAYLOR]
+    for k in range(6, 1, -1):
+        down.append(zs * down[-1] + 1.0 / math.factorial(k))
+    up = [phi[1, ~small]]
+    for k in range(2, 8):
+        up.append((up[-1] - 1.0 / math.factorial(k - 1)) / zl)
+    phi[2:, small] = down[::-1]
+    phi[2:, ~small] = up[1:]
+    return phi
+
+
+def _exponential_path(source, q: float, t: np.ndarray, x: float, v: float,
+                      a: float):
+    """x' = v, v' = a, a' = q a + source(t) by one exact exponential step per
+    grid interval, for source interpolated at the interval's quarter points.
+
+    With z = q h and c_k = k! times the interpolant's s^k coefficient (the
+    samples times ``_LAGRANGE``), a+ = e^z a + h sum_k c_k phi_{k+1}(z),
+    v+ = v + h phi_1 a + h^2 sum_k c_k phi_{k+2} and x+ = x + h v + h^2 phi_2 a
+    + h^3 sum_k c_k phi_{k+3}, phi evaluated once per distinct step.  Overflow
+    leaves x, v, a non-finite from that grid point on.
+    """
+    h = np.diff(t)
+    samples = _quarter_samples(source, t, h)
+    c = (np.column_stack((samples[:-1].reshape(-1, 4), samples[4::4]))
+         @ _LAGRANGE).T
+    steps, which = np.unique(h, return_inverse=True)
+    phi = _phi(q * steps)[:, which]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # where a step spans > ~709 growth times phi is inf: a coefficient or
+        # an acceleration that is exactly 0 still contributes 0
+        terms = c * np.stack([phi[j:j + 5] for j in (1, 2, 3)])
+        drive = np.where(c == 0.0, 0.0, terms).sum(axis=1)
+        a_k = float(a)  # a Python float overflows to inf without a warning
+        path = [a_k]
+        for r, g in zip(phi[0].tolist(), (h * drive[0]).tolist()):
+            a_k = r * a_k + g if a_k else g
+            path.append(a_k)
+        a = np.array(path)
+        phi_a = np.where(a[:-1] == 0.0, 0.0, phi[1:3] * a[:-1])
+        v = np.cumsum(np.append(v, h * (phi_a[0] + h * drive[1])))
+        x = np.cumsum(np.append(x, h * (v[:-1] + h * (phi_a[1] + h * drive[2]))))
+    return x, v, a
 
 
 def integrate_point_limit(sig: ForceSignal, model: ParticleModel, t_grid,
@@ -303,63 +320,44 @@ def integrate_point_limit(sig: ForceSignal, model: ParticleModel, t_grid,
     integrates again at half step and raises StepSizeError when the
     endpoints disagree beyond ``rtol`` of the position scale.
     """
-    tau_e = model.tau_e
-    M = model.M
-
-    def accel(t: np.ndarray) -> np.ndarray:
-        return (sig.f(t) + tau_e * sig.fdot(t)) / M
-
-    return _integrate_known_acceleration(accel, t_grid, x0, v0, rtol, tau_e)
+    return _integrate_known_acceleration(
+        lambda tk: (sig.f(tk) + model.tau_e * sig.fdot(tk)) / model.M, t_grid,
+        x0, v0, rtol, model.tau_e)
 
 
 def integrate_third_order(sig: ForceSignal, model: ParticleModel, t_grid,
                           x0: float = 0.0, v0: float = 0.0, a0: float = 0.0,
-                          variant: str = "cutoff") -> Trajectory:
+                          variant: str = "cutoff",
+                          rtol: float = 1e-8) -> Trajectory:
     """Integrate the third-order equation of motion from (x0, v0, a0).
 
     variant="cutoff": M (1/Omega - tau_e) xddd + M xdd = f + fdot/Omega.
     variant="abraham_lorentz": -M tau_e xddd + M xdd = f.
 
-    At Omega = 1/tau_e the third-order term vanishes identically and the
-    integration delegates to ``integrate_point_limit`` (a0 is then fixed by
-    the equation itself, not by the caller).  Overflow mid-run truncates
-    the trajectory and reports it as a runaway.
+    When 1/Omega equals tau_e to rounding the third-order term vanishes and
+    the integration delegates to ``integrate_point_limit`` with step check
+    ``rtol`` (a0 is then fixed by the equation itself, not by the caller).
+    Overflow mid-run truncates the trajectory and reports it as a runaway.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
     t = check_time_grid(t_grid)
     tau_e = model.tau_e
-
-    if variant == "cutoff":
-        inv_Om = 1.0 / model.Omega
-        eps = inv_Om - tau_e
-        if eps == 0.0:
-            return integrate_point_limit(sig, model, t, x0=x0, v0=v0)
-    else:
-        inv_Om = 0.0
-        eps = -tau_e
-
-    def source(tk: np.ndarray) -> np.ndarray:
-        return (sig.f(tk) + inv_Om * sig.fdot(tk)) / (model.M * eps)
-
-    h = float(np.max(np.diff(t)))
-    n_sub = max(1, math.ceil(h / (0.2 * abs(eps))))
-    if n_sub * (len(t) - 1) > _MAX_INTERNAL_STEPS:
-        raise StepSizeError(
-            f"time grid needs {n_sub} substeps per interval to resolve the "
-            f"stiff rate 1/|1/Omega - tau_e| = {1.0 / abs(eps):.3e}; refine "
-            "or shorten the grid"
-        )
-    path, n_good = _third_order_path(source, -1.0 / eps, t, n_sub, x0, v0, a0)
-    truncated = n_good < len(t)
-    t_used = t[:n_good]
-    x, v, a = path[:n_good, 0], path[:n_good, 1], path[:n_good, 2]
-    runaway, growth, fit_rate, fit_r2 = _classify(t_used, a, tau_e)
-    if truncated:
+    inv_Om = 1.0 / model.Omega if variant == "cutoff" else 0.0
+    eps = inv_Om - tau_e
+    if abs(eps) <= math.ulp(tau_e):
+        return integrate_point_limit(sig, model, t, x0=x0, v0=v0, rtol=rtol)
+    x, v, a = _exponential_path(
+        lambda tk: (sig.f(tk) + inv_Om * sig.fdot(tk)) / (model.M * eps),
+        -1.0 / eps, t, x0, v0, a0)
+    # a state that overflowed stays non-finite: the first n rows are kept
+    n = np.count_nonzero(np.isfinite(x) & np.isfinite(v) & np.isfinite(a))
+    runaway, growth, fit_rate, fit_r2 = _classify(t[:n], a[:n], tau_e)
+    if n < len(t):
         runaway = True
         if growth is None:
             growth = fit_rate if fit_rate is not None else math.inf
-    return Trajectory(times=t_used, x=x, v=v, a=a,
+    return Trajectory(times=t[:n], x=x[:n], v=v[:n], a=a[:n],
                       runaway_flag=runaway, growth_rate=growth,
                       fit_rate=fit_rate, fit_r2=fit_r2)
 

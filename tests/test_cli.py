@@ -385,13 +385,15 @@ def test_electron_motion_point_limit_and_runaway_summary(tmp_path):
     assert result["growth_rate"] == pytest.approx(TAU_E_INVERSE, rel=1e-2)
 
 
-@pytest.mark.parametrize("command, module, function", [
-    ("diffusion", diffusion, "msd_curve"),
-    ("electron-motion", motion, "integrate_point_limit"),
-    ("electron-motion", motion, "bounded_al_trajectory"),
-], ids=["diffusion", "point-limit", "bounded-al"])
+@pytest.mark.parametrize("command, integrator, module, function", [
+    ("diffusion", None, diffusion, "msd_curve"),
+    ("electron-motion", "point-limit", motion, "integrate_point_limit"),
+    ("electron-motion", "bounded-al", motion, "bounded_al_trajectory"),
+    # the default integrator at the default point-limit model delegates
+    ("electron-motion", "cutoff", motion, "integrate_point_limit"),
+], ids=["diffusion", "point-limit", "bounded-al", "cutoff"])
 def test_tolerance_reaches_the_computation(tmp_path, monkeypatch, command,
-                                           module, function):
+                                           integrator, module, function):
     original = getattr(module, function)
     seen = []
 
@@ -402,8 +404,6 @@ def test_tolerance_reaches_the_computation(tmp_path, monkeypatch, command,
     monkeypatch.setattr(module, function, recording)
     data = dict(SMOKE_CASES[command][0])
     if command == "electron-motion":
-        integrator = ("point-limit" if function == "integrate_point_limit"
-                      else "bounded-al")
         data.update(integrator=integrator, model={"M": 1.0, "K": 0.0},
                     grids={"t": {"start": 0.0, "stop": 8.0, "num": 401}})
     rc, _ = run_cli(tmp_path, data)
