@@ -96,30 +96,22 @@ def _run_thermo(cfg: RunConfig, use_shift_route: bool) -> dict:
     temps, shifts, errors = curve.temperatures, curve.shift, curve.errors
     factor = _dim_factor(cfg)
 
-    derivs = None
-    deriv_note = None
-    if temps.size >= 5:
+    result = {"max_quad_error": float(np.max(errors))}
+    try:
         # the shift route's U/S/C are those of the shift, not of F0
-        source = replace(curve, values=shifts) if use_shift_route else curve
-        try:
-            derivs = thermo.thermo_derivatives(source)
-        except QlebathError as exc:
-            deriv_note = str(exc)
-    else:
-        deriv_note = "need at least 5 temperatures for derivatives"
-
-    if derivs is None:
+        derivs = thermo.thermo_derivatives(
+            replace(curve, values=shifts) if use_shift_route else curve)
+    except QlebathError as exc:  # fewer than 5 or too coarse temperatures
+        result["derivatives"] = str(exc)
         derivs = dict.fromkeys("USC", np.full(temps.size, np.nan))
     columns = (temps, *(factor * col for col in (
         curve.values, curve.baseline, shifts, derivs["U"], derivs["S"],
         derivs["C"], errors)))
-
-    result = {"max_quad_error": float(np.max(errors))}
-    if deriv_note is not None:
-        result["derivatives"] = deriv_note
     if model.K > 0:
         c_fit = thermo.fit_quadratic_coefficient(temps, shifts)
         result["t2_coefficient"] = factor * c_fit
+        result["t2_low_temperature"] = factor * thermo.t2_low_temperature(
+            kernel, model)
         if kernel.variant == "blackbody":
             # shift = c T^2, so the closed-form coefficient is the shift at T = 1
             result["t2_closed_form"] = thermo.bbr_shift_closed_form(

@@ -162,7 +162,8 @@ class Trajectory:
 
 
 def _fit_log_growth(times: np.ndarray, a: np.ndarray):
-    """Least-squares slope and R^2 of log|a| over the final third.
+    """Least-squares slope and R^2 of log|a| over the final third, from
+    centred sums.
 
     Points more than 14 decades below the largest |a| reached up to them are
     left out: there |a| is rounding noise left by a decay from an earlier
@@ -177,14 +178,14 @@ def _fit_log_growth(times: np.ndarray, a: np.ndarray):
     mask = np.isfinite(aa) & (aa > 1e-280) & (aa > 1e-14 * peak_so_far)
     if np.count_nonzero(mask) < 5:
         return None, None
-    t, la = t[mask], np.log(aa[mask])
-    slope, intercept = np.polyfit(t, la, 1)
-    resid = la - (slope * t + intercept)
-    ss_tot = float(np.sum((la - la.mean()) ** 2))
+    t, la = t[mask] - t[mask].mean(), np.log(aa[mask])
+    la -= la.mean()
+    slope = float(t @ la) / float(t @ t)
+    ss_tot = float(la @ la)
     if ss_tot == 0.0:
-        return float(slope), 1.0
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return float(slope), float(r2)
+        return slope, 1.0
+    resid = la - slope * t
+    return slope, 1.0 - float(resid @ resid) / ss_tot
 
 
 def _classify(times: np.ndarray, a: np.ndarray, tau_e: float):
@@ -347,9 +348,9 @@ def integrate_third_order(sig: ForceSignal, model: ParticleModel, t_grid,
     eps = inv_Om - tau_e
     if abs(eps) <= math.ulp(tau_e):
         return integrate_point_limit(sig, model, t, x0=x0, v0=v0, rtol=rtol)
-    x, v, a = _exponential_path(
-        lambda tk: (sig.f(tk) + inv_Om * sig.fdot(tk)) / (model.M * eps),
-        -1.0 / eps, t, x0, v0, a0)
+    x, v, a = _exponential_path(  # Abraham-Lorentz (inv_Om = 0): no fdot term
+        lambda tk: (sig.f(tk) + inv_Om * sig.fdot(tk) if inv_Om else sig.f(tk))
+        / (model.M * eps), -1.0 / eps, t, x0, v0, a0)
     # a state that overflowed stays non-finite: the first n rows are kept
     n = np.count_nonzero(np.isfinite(x) & np.isfinite(v) & np.isfinite(a))
     runaway, growth, fit_rate, fit_r2 = _classify(t[:n], a[:n], tau_e)

@@ -20,6 +20,7 @@ positive, i.e. Omega < 1/tau_e.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -107,10 +108,8 @@ def bare_mass(M: float, Omega: float,
 
 def mass_for_kernel(kernel: MemoryKernel, model: ParticleModel) -> float:
     """Mass multiplying z^2 in D(z): bare for blackbody, observed otherwise."""
-    if isinstance(kernel, BlackbodyKernel):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AcausalCutoffWarning)
-            return model.m_bare
+    if isinstance(kernel, BlackbodyKernel):  # bare_mass without its warning
+        return model.M * (1.0 - model.tau_e * model.Omega)
     return kernel.mass
 
 
@@ -183,68 +182,131 @@ class PoleReport:
         }
 
 
-def _cleared_polynomial(kernel: MemoryKernel, model: ParticleModel) -> list[complex]:
-    """Coefficients (highest power first) of the polynomial sharing its roots
-    with the poles of alpha: (K - m z^2)(b0 + b1 z) - i z (a0 + a1 z), i.e.
-    D(z) with the kernel's denominator cleared.  The cleared factor's zero
-    -b0/b1 is not a root: the polynomial is -i z (a0 + a1 z) != 0 there.
+def _rate_polynomial(kernel: MemoryKernel, model: ParticleModel) -> list[float]:
+    """Real coefficients, highest power first, of (m lam^2 + K)(b0 - i b1 lam)
+    - lam (a0 - i a1 lam) = D(-i lam) (b0 - i b1 lam) over the phase of b0
+    (mu(-i lam) is real for real lam): its roots lam are the poles -i lam of
+    alpha; the cleared factor's zero is not one.  Decoupled: no factor.
     """
     m = mass_for_kernel(kernel, model)
     K = model.K
     a0, a1, b0, b1 = kernel.coefficients
-    if a0 == 0 and a1 == 0:  # decoupled (gamma = 0 or zero charge): no factor
-        return [-m, 0j, K]
-    return [-m * b1, -m * b0 - 1j * a1, K * b1 - 1j * a0, K * b0]
+    if a0 == 0 and a1 == 0:
+        return [m, 0.0, K]
+    unit = complex(b0).conjugate() / abs(b0)
+    return [(c * unit).real for c in (-1j * m * b1, m * b0 + 1j * a1,
+                                      -1j * K * b1 - a0, K * b0)]
+
+
+def _horner(q, x):
+    """q(x) and q'(x) for coefficients q, highest power first."""
+    value, slope = q[0], 0.0
+    for c in q[1:]:
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
+def _outer_real_root(c2: float, c1: float, c0: float) -> float:
+    """A real root of x^3 + c2 x^2 + c1 x + c0 by Newton's method: convex
+    right of the inflection point -c2/3 and concave left of it, the cubic
+    takes iterates from beyond its outermost root on the side where it
+    changes sign monotonically onto that root.  They start from the dominant
+    balance x = -c2 (the cutoff or runaway root when it dwarfs the others)
+    if it lies beyond that root, else from the Fujiwara bound, and go on
+    past the monotone phase while the steps shrink.
+    """
+    q = (1.0, c2, c1, c0)
+    side = 1.0 if _horner(q, -c2 / 3.0)[0] < 0.0 else -1.0
+    x = -c2
+    if not (side * (x + c2 / 3.0) > 0.0 and side * _horner(q, x)[0] > 0.0):
+        x = side * 2.0 * max(abs(c2), math.sqrt(abs(c1)), abs(0.5 * c0) ** (1 / 3))
+    step = math.inf
+    for _ in range(200):
+        f, fp = _horner(q, x)
+        monotone = side * f > 0.0 and step == math.inf
+        if (fp == 0.0 or x - f / fp == x
+                or not (monotone or abs(f / fp) < abs(step))):
+            break
+        if not monotone:
+            step = f / fp
+        x -= f / fp
+    return x
+
+
+def _quadratic_roots(p: float, s: float) -> list:
+    """Roots of x^2 + p x + s without cancellation."""
+    disc = p * p - 4.0 * s
+    if disc < 0.0:
+        half = 0.5 * math.sqrt(-disc)
+        return [complex(-0.5 * p, half), complex(-0.5 * p, -half)]
+    t = -0.5 * (p + math.copysign(math.sqrt(disc), p))
+    return [t, s / t] if t != 0.0 else [0.0, 0.0]
+
+
+def decay_rates(kernel: MemoryKernel, model: ParticleModel) -> list:
+    """Decay rates lam_k of the poles z_k = -i lam_k of alpha(z): damped
+    for Re lam_k > 0, a runaway for Re lam_k < 0; the zero mode lam = 0 of a
+    free particle is left out.  A cubic's outer real root is divided out from
+    the constant term when it is the larger root, else from the leading term
+    (Numerical Recipes, 3rd ed., secs. 5.6, 9.5).  One Newton step on D(z),
+    nearly linear in Im z at a narrow line, then gives each root of the
+    quadratic left its damping to rounding even where the polynomial lost it
+    (a CGS line 50 decades below its cutoff): damping and frequency are good
+    to ~20 eps, times |m|/M for a bare mass m < -M.
+    """
+    q = _rate_polynomial(kernel, model)
+    while q and q[0] == 0.0:
+        q = q[1:]
+    while q and q[-1] == 0.0:
+        q = q[:-1]
+    if len(q) < 2:
+        return []
+    c = [ck / q[0] for ck in q[1:]]
+    if len(c) == 1:
+        return [-c[0]]
+    outer = []
+    if len(c) == 3:
+        r = _outer_real_root(*c)
+        outer = [r]
+        if r * r * abs(r) >= abs(c[2]):
+            s = -c[2] / r
+            c = [(s - c[1]) / r, s]
+        else:
+            p = c[0] + r
+            c = [p, c[1] + r * p]
+    D_Dp = denominator_closure(kernel, model)
+    out = []
+    for lam in _quadratic_roots(*c):
+        if isinstance(lam, complex) and lam.imag < 0.0:
+            out.append(out[-1].conjugate())  # second member of a pair
+            continue
+        if isinstance(lam, complex) and abs(lam.real) <= 1e-8 * abs(lam.imag):
+            # a narrow line: step from the real axis, where Im D is not
+            # swamped by the rounding of a damping the polynomial may have lost
+            lam = complex(0.0, lam.imag)
+        try:  # z = -i lam, and the step in lam is i times the one in z
+            D, Dp = D_Dp(complex(lam.imag, -lam.real))
+            step = 1j * D / Dp
+        except (ZeroDivisionError, OverflowError):  # on the kernel's pole
+            step = 0j
+        if cmath.isfinite(step):
+            lam = lam - (step if isinstance(lam, complex) else step.real)
+        out.append(lam)
+    return outer + out
 
 
 def poles_and_causality(kernel: MemoryKernel, model: ParticleModel,
                         marginal_tol: float = 1e-9) -> PoleReport:
-    """Locate all poles of alpha(z) and classify the model.
-
-    The cleared-denominator polynomial is solved by companion-matrix
-    eigenvalues (root count and multiplicity matter for the verdict); the
-    variable is rescaled first so the residual check stays meaningful when
-    the pole magnitudes are huge (acausal runaway near 1/tau_e).  For K = 0
-    the structural root at the origin is the diffusive zero mode, not a
-    runaway, and is excluded from the causality maximum.
+    """The poles z = -i lam of alpha (``decay_rates``) and the verdict: a pole
+    within ``marginal_tol`` of its own modulus of the real axis is marginal
+    (an undamped oscillator) and causal; any other with Im z >= 0 is not.
     """
-    coeffs = np.array(_cleared_polynomial(kernel, model), dtype=complex)
-    nz = np.flatnonzero(np.abs(coeffs) > 0)
-    if len(nz) == 0:
-        raise PoleEvaluationError("denominator polynomial is identically zero")
-    coeffs = coeffs[nz[0]:]
-    if len(coeffs) < 2:
-        return PoleReport(poles=(), causal=True, max_im=-math.inf, marginal=False)
-
-    # Scale z = s w with s a Cauchy-style root bound.
-    n = len(coeffs) - 1
-    bounds = [
-        abs(coeffs[k] / coeffs[0]) ** (1.0 / k)
-        for k in range(1, n + 1)
-        if coeffs[k] != 0
-    ]
-    s = max(bounds) if bounds else 1.0
-    if not (s > 0 and math.isfinite(s)):
-        s = 1.0
-    scaled = coeffs * s ** np.arange(n, -1, -1, dtype=float)
-    scaled /= np.max(np.abs(scaled))
-    w_roots = np.roots(scaled)
-    roots = s * w_roots
-
-    resid = np.abs(np.polyval(scaled, w_roots))
-    if np.any(resid > 1e-10 * max(len(scaled), 1)):
-        worst = float(np.max(resid))
-        raise PoleEvaluationError(
-            f"polynomial root residual {worst:.3e} exceeds tolerance on the "
-            "scaled (max-coefficient 1) polynomial"
-        )
-
-    if model.K == 0:
-        roots = roots[np.abs(roots) > marginal_tol * s]
-
-    roots = tuple(sorted((complex(r) for r in roots), key=lambda r: (r.imag, r.real)))
-    max_im = max((r.imag for r in roots), default=-math.inf)
-    marginal = any(abs(r.imag) <= marginal_tol * s for r in roots)
-    causal = bool(max_im < 0.0 or (marginal and max_im <= marginal_tol * s))
-    return PoleReport(poles=roots, causal=causal, max_im=float(max_im),
-                      marginal=marginal)
+    poles = sorted((complex(lam.imag, -lam.real) for lam in
+                    map(complex, decay_rates(kernel, model))),
+                   key=lambda z: (z.imag, z.real))
+    on_axis = [abs(z.imag) <= marginal_tol * abs(z) for z in poles]
+    causal = all(z.imag < 0.0 or flat for z, flat in zip(poles, on_axis))
+    return PoleReport(poles=tuple(poles), causal=causal,
+                      max_im=max((z.imag for z in poles), default=-math.inf),
+                      marginal=any(on_axis))

@@ -1,34 +1,21 @@
 """Thermodynamics of the coupled oscillator: free energy, T^2 shift, U/S/C.
 
-Two routes to the free energy are provided.
+The free energy is the phase-rate integral (1/pi) int_0^inf kT log(1 -
+e^{-hbar omega/kT}) Im{d log alpha/d omega} domega.  With z_k = -i lam_k the
+poles of alpha (``response.decay_rates``), lam_b the zero of the kernel's
+denominator (Omega for blackbody, 1/tau for single relaxation, none for
+Ohmic friction) and nu = 2 pi kT/hbar it is, in closed form,
 
-``coupled_free_energy`` integrates the phase-rate formula directly:
+    F0(T) = -kT [sum_k B(lam_k/nu) - B(lam_b/nu)],
 
-    F0(T) = (1/pi) int_0^inf f(omega, T) Im{ d log alpha / d omega } domega,
+with B Binet's function (Ford, Lewis & O'Connell, Phys. Rev. A 37, 4419
+(1988)); a runaway pole (Re lam < 0) enters as -B(-lam/nu).  The shift
+F0 - f(omega_0, T) pairs each pole with its decoupled position, so it keeps
+its digits at weak coupling, where |F0| can exceed it by 10^5.
 
-with f(omega, T) = kT log(1 - exp(-hbar omega / kT)) and the log-derivative
-taken in closed form as -D'(omega)/D(omega).
-
-``free_energy_shift`` computes F0(T) - f(omega_0, T) *without* cancellation,
-using the exact integration-by-parts identity
-
-    shift = (1/pi) int_0^inf w(omega, T) [arg D(omega) + pi H(omega - omega_0)] domega,
-
-where w = hbar/(exp(hbar omega/kT) - 1) and arg D is the continuous branch in
-(-pi, 0) guaranteed by Im D = -omega Re mu <= 0.  Both the boundary terms of
-the integration by parts and the branch ambiguity vanish identically, so the
-two routes agree to quadrature accuracy; only the shift route survives the
-catastrophic cancellation at weak coupling (|F0| can exceed |shift| by 10^5).
-
-The naive fluctuating-field energy (``welton_energy``) is included as the
-comparison calculation: it gives +pi alpha (kT)^2 / (3 m c^2), three times the
-magnitude of — and opposite in sign to — the true 3D energy shift obtained by
-differentiating the free energy.
-
-All three integrals are one call each of the vectorized Gauss–Kronrod
-quadrature in ``_quad``: the integrands take an array of omega, and the
-returned error is the sum of the panels' |K21 - G10|, a bound rather than
-QUADPACK's rescaled guess.
+The naive fluctuating-field energy (``welton_energy``, a quadrature) gives
++pi alpha (kT)^2 / (3 m c^2): three times the magnitude of, and opposite in
+sign to, the true 3D energy shift obtained by differentiating F0.
 """
 
 from __future__ import annotations
@@ -39,27 +26,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import quad
-from .errors import AcausalModelError, GridError, QuadratureError
+from .errors import AcausalModelError, GridError
 from .kernels import DIMENSIONLESS, MemoryKernel, PhysicalConstants
-from .response import ParticleModel, denominator_closure, mass_for_kernel
+# denominator_closure stays importable here: perfbench/spans.py counts the
+# D(z) evaluations of this module by patching it
+from .response import (  # noqa: F401
+    ParticleModel, decay_rates, denominator_closure, mass_for_kernel)
 
 # exp(-x) underflows to exactly 0.0 beyond ~745, so every thermal weight used
 # here is *exactly* zero past these cuts; integrating further is pure noise.
 _LOG_WEIGHT_CUT = 746.0   # for kT log(1 - e^-x)
 _BOSE_CUT = 800.0         # for 1/(e^x - 1)
-_LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 
 
 def _bose(x):
     """1/(e^x - 1) of a positive array without overflow; 0 past x = 700."""
     return np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
-
-
-def _log1mexp(x):
-    """log(1 - e^-x) of a positive array, accurate at both ends."""
-    return np.where(x < _LN2, np.log(-np.expm1(-x)),
-                    np.log1p(-np.exp(-np.maximum(x, _LN2))))
 
 
 def oscillator_free_energy(omega: float, T: float,
@@ -120,168 +103,139 @@ def welton_energy(T: float, mass: float,
     return quad(integrand, pts, epsabs=0.0, epsrel=rtol)[:2]
 
 
-def _resonance(D_Dp, w0: float, gamma_w: float) -> tuple[float, float]:
-    """Centre and full width of the resonance near w0.
+# Stirling series B(x) ~ sum_k c_k x^(1 - 2k) of Binet's function and
+# B'(x) ~ sum_k (1 - 2k) c_k x^(-2k): eight terms reach rounding at |x| >= 12
+_STIRLING = np.array([1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+                      -691 / 360360, 1 / 156, -3617 / 122400])
+_STIRLING_PRIME = -np.arange(1, 16, 2) * _STIRLING
+# 5-node Gauss-Legendre rule on [0, 1]
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(5)
+_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
+# the rounding bound of a closed-form value, in units of eps times the size
+# of the terms summed (measured against 250-digit mpmath: at most ~6)
+_ROUNDING_UNITS = 16.0
 
-    The centre is the zero of Re D found by Newton's method from w0 (a
-    blackbody line sits away from w0 when Omega < w0), the width
-    2 |Im D / Re D'| there.  Falls back to (w0, gamma_w) when Newton leaves
-    (w0/2, 2 w0) or has not settled after 20 steps.
+
+def _binet(x):
+    """Binet's function B(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2,
+    B'(x) = psi(x) - ln x + 1/(2x) and the sizes of the terms summed for
+    each, for Re x >= 0, x != 0.  The recurrence B(x) = B(x + 1)
+    + (x + 1/2) ln(1 + 1/x) - 1 raises |x| to 12 for the Stirling series,
+    its n < 13 steps taken side by side.
     """
-    w = w0
-    for _ in range(20):
-        D, Dp = D_Dp(w)
-        if Dp.real == 0.0 or not 0.5 * w0 < w < 2.0 * w0:
-            break
-        step = D.real / Dp.real
-        if abs(step) <= 1e-13 * w:
-            return w, 2.0 * abs(D.imag / Dp.real)
-        w -= step
-    return w0, gamma_w
+    x = np.asarray(x, dtype=complex)
+    n = np.ceil(np.sqrt(np.maximum(144.0 - x.imag ** 2, 0.0)) - x.real)
+    take = np.arange(12) < n[..., None]
+    y = x[..., None] + np.arange(12)
+    u = np.log1p(1.0 / y)
+    v = (y + 0.5) * u
+    w = (y + 0.5) / (y * (y + 1.0))
+    x = x + np.clip(n, 0, 12)
+    w2 = 1.0 / (x * x)
+    series = np.polyval(_STIRLING[::-1], w2) / x
+    series_p = np.polyval(_STIRLING_PRIME[::-1], w2) * w2
+    return (np.where(take, v - 1.0, 0.0).sum(-1) + series,
+            np.where(take, u - w, 0.0).sum(-1) + series_p,
+            np.where(take, np.abs(v) + 1.0, 0.0).sum(-1) + np.abs(series),
+            np.where(take, np.abs(u) + np.abs(w), 0.0).sum(-1) + np.abs(series_p))
 
 
-def _resonance_points(w0: float, w_r: float, width: float, w_th: float) -> set:
-    """Panel breakpoints around a line at w_r of the given width.
-
-    Both free-energy integrands fall off from the line like a power of the
-    distance to its centre and carry the thermal weight's kT/omega or
-    log(omega) below w_th, so panels are graded by decades: in distance
-    from w_r, from the width (at least 1e-15 w_r) out to 10 w_r but never
-    below w_r/2, and in omega from 10 w0 up to 30 w_th.  Splitting these
-    panels further is then rarely needed, which keeps the number of
-    adaptive passes small.
+def _closed_form(kernel: MemoryKernel, model: ParticleModel, temps,
+                 allow_acausal: bool, shift: bool):
+    """F0(T), or with ``shift`` F0(T) - f(omega_0, T), and a rounding bound
+    at every T of ``temps``.  The shift pairs the poles, in order of Im lam,
+    with -i omega_0, lam_b and +i omega_0, and takes B(x + d) - B(x) = d
+    times a 5-node Gauss-Legendre mean of B' while |d| <= |x|/8.  The bound
+    counts eps per unit size of every term summed, and a pole rounded to eps
+    in damping and in frequency, times |m|/M for a bare mass m < -M.
     """
-    pts = {w0, w_r, 20.0 * w0}
-    d = max(width, 1e-15 * w_r)
-    while d < 10.0 * w_r:
-        pts |= {max(w_r - d, 0.5 * w_r), w_r + d}
-        d *= 10.0
-    w = 10.0 * w0
-    while w < 30.0 * w_th:
-        pts.add(w)
-        w *= 10.0
-    return pts
-
-
-def _require_causal_or_override(kernel: MemoryKernel, model: ParticleModel,
-                                allow_acausal: bool) -> None:
-    if mass_for_kernel(kernel, model) < 0 and not allow_acausal:
+    temps = np.asarray(temps, dtype=float)
+    if np.any(temps < 0):
+        raise ValueError("T must be >= 0")
+    if shift and model.K <= 0:
+        raise ValueError("shift baseline needs K > 0 (an oscillation frequency)")
+    m = mass_for_kernel(kernel, model)
+    if m < 0 and not allow_acausal:
         raise AcausalModelError(
             f"cutoff Omega = {model.Omega:.6g} > 1/tau_e = {1.0 / model.tau_e:.6g} "
             "puts a runaway pole in the upper half plane; pass allow_acausal=True "
-            "to integrate the real-axis formulas anyway"
-        )
+            "to evaluate the real-axis formulas anyway")
+    values, errors = np.zeros(temps.shape), np.zeros(temps.shape)
+    a0, a1, b0, b1 = kernel.coefficients
+    hot = temps > 0
+    if a0 == 0 and a1 == 0:  # decoupled: the oscillator itself, exactly
+        if model.K > 0 and not shift:
+            values[:] = [oscillator_free_energy(model.omega_0, T, model.constants)
+                         for T in temps]
+        return values, errors
+    if not hot.any():
+        return values, errors
+    kT = model.constants.k_B * temps[hot, None]
+    nu = 2.0 * math.pi * kT / model.constants.hbar
+    lam = np.array(decay_rates(kernel, model), dtype=complex)
+    lam = lam[np.argsort(lam.imag, kind="stable")]
+    sign = np.where(lam.real < 0.0, -1.0, 1.0)
+    lam_b = np.array([(b0 / (1j * b1)).real] if b1 else [])
+    ref = np.zeros(0)
+    if shift:
+        w0 = 1j * model.omega_0
+        ref = np.array([-w0, *lam_b, w0] if lam.size == 3 else [-w0, w0])
+        lam_b = lam_b[:3 - lam.size]  # m = 0: no cutoff pole to pair with
+    x, x0 = sign * lam / nu, ref / nu
+    d = (sign * lam - ref) / nu if shift else x0  # the difference first
+    nodes = x0[..., None] + d[..., None] * _GL_T
+    B, Bp, sB, sBp = _binet(np.concatenate(
+        [x, x0, lam_b / nu, nodes.reshape(len(kT), -1)], axis=1))
+    i, j = lam.size, lam.size + ref.size
+    B_x, B_0, B_b, s_x, s_0, s_b = B[:, :i], B[:, i:j], B[:, j:j + lam_b.size], \
+        sB[:, :i], sB[:, i:j], sB[:, j:j + lam_b.size]
+    Bp_x, Bp_n, sBp_n = Bp[:, :i], Bp[:, j + lam_b.size:], sBp[:, j + lam_b.size:]
+    terms = sign * B_x
+    pole = (np.abs(x.real * Bp_x.real) + np.abs(x.imag * Bp_x.imag)) \
+        * max(1.0, -m / model.M)
+    if shift:
+        near = (sign > 0.0) & (np.abs(d) <= np.abs(x0) / 8.0)
+        terms = np.where(near, d * (Bp_n.reshape(nodes.shape) @ _GL_W),
+                         terms - B_0)
+        s_x = np.where(near, np.abs(d) * (sBp_n.reshape(nodes.shape) @ _GL_W),
+                       s_x + s_0)
+    kT = kT[:, 0]
+    values[hot] = -kT * (terms.sum(axis=1) - B_b.sum(axis=1)).real
+    size = (pole + s_x).sum(axis=1) + s_b.sum(axis=1)
+    errors[hot] = _ROUNDING_UNITS * _EPS * kT * size
+    return values, errors
 
 
 def coupled_free_energy(kernel: MemoryKernel, model: ParticleModel, T: float,
                         rtol: float = 1e-10,
                         allow_acausal: bool = False) -> tuple[float, float]:
-    """Free energy of the oscillator coupled to the bath, by direct quadrature.
-
-    Returns (value, error estimate).  The integrand has a near-Lorentzian
-    line near omega_0 of width about Gamma = Re mu(omega_0)/M, so the domain
-    is split at its centre and at decades of distance from it before the
-    adaptive passes; a blind single pass misses the peak at weak coupling.
-    The error estimate adds a bound on the rounding of D at the line to the
-    quadrature's |K - G|.  A line narrower than the float spacing at its
-    centre cannot be sampled and raises QuadratureError.
-    """
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    _require_causal_or_override(kernel, model, allow_acausal)
-    if T == 0:
-        return 0.0, 0.0
-
-    K = model.K
-    D_Dp = denominator_closure(kernel, model)
-    k = model.constants
-    kT = k.k_B * T
-    w_th = kT / k.hbar
-
-    cut = _LOG_WEIGHT_CUT * w_th
-    pts = {0.0, 30.0 * w_th, kernel.scale}
-    if K > 0:
-        w0 = model.omega_0
-        gamma_w = kernel.re_mu_real_axis(w0) / model.M
-        if gamma_w == 0.0:
-            # Decoupled oscillator: the phase jumps by -pi exactly at omega_0.
-            return oscillator_free_energy(w0, T, k), 0.0
-        w_r, width = _resonance(D_Dp, w0, gamma_w)
-        if w_r - width == w_r or w_r + width == w_r:
-            raise QuadratureError(
-                f"linewidth {width:.3g} is below the floating-point "
-                f"resolution at omega = {w_r:.6g}: no quadrature node can "
-                "sample the resonance; use the shift route")
-        pts |= _resonance_points(w0, w_r, width, w_th)
-    pts = sorted(p for p in pts if 0.0 <= p < cut) + [cut]
-    w1 = pts[1]
-
-    def integrand(u):
-        # omega = w1 (u/w1)^4 on the first panel [0, w1] smooths the log
-        # singularity of f at omega -> 0 into s^3 log s
-        first = u < w1
-        r = u / w1
-        om = np.where(first, w1 * r ** 4, u)
-        f = _log1mexp(k.hbar * om / kT) * kT
-        f *= np.where(first, 4.0 * r ** 3, 1.0)
-        D, Dp = D_Dp(om)
-        return -f * (Dp / D).imag / math.pi  # f * Im{-D'/D} / pi
-
-    rounding = 0.0
-    if K > 0:
-        # |K - G| cannot see rounding shared by every node: at the line
-        # D = K - m w^2 + w f(w) cancels down to its imaginary part, so the
-        # integrand there is only good to eps (|K| + |m| w^2 + |w f|) / |D|,
-        # over a line of weight f(w_r).  The quadrature stops there too.
-        m = mass_for_kernel(kernel, model)
-        D, _ = D_Dp(w_r)
-        size = K + abs(m) * w_r * w_r + abs(D - (K - m * w_r * w_r))
-        rounding = (_EPS * size / abs(D)
-                    * abs(oscillator_free_energy(w_r, T, k)))
-    value, err, _ = quad(integrand, pts, epsabs=rounding, epsrel=rtol)
-    return value, err + rounding
+    """Free energy F0(T) of the oscillator coupled to the bath, as (value,
+    rounding bound); ``rtol`` has no effect on the closed form."""
+    value, error = _closed_form(kernel, model, [T], allow_acausal, shift=False)
+    return float(value[0]), float(error[0])
 
 
 def free_energy_shift(kernel: MemoryKernel, model: ParticleModel, T: float,
                       rtol: float = 1e-11,
                       allow_acausal: bool = False) -> tuple[float, float]:
-    """F0(T) - f(omega_0, T) computed without cancellation.
+    """F0(T) - f(omega_0, T) without cancellation (K > 0), as (value,
+    rounding bound); ``rtol`` has no effect."""
+    value, error = _closed_form(kernel, model, [T], allow_acausal, shift=True)
+    return float(value[0]), float(error[0])
 
-    Uses the exact integration-by-parts form (module docstring); valid for
-    K > 0.  Returns (shift, error estimate).
+
+def t2_low_temperature(kernel: MemoryKernel, model: ParticleModel) -> float:
+    """The coefficient c of the shift's law c T^2 for kT far below hbar
+    times every pole rate (K > 0): B(x) ~ 1/(12 x) gives -(pi k_B^2/6 hbar)
+    (sum_k 1/lam_k - 1/lam_b), which is -pi k_B^2 mu(0)/(6 hbar K) by Vieta's
+    formulas: -pi gamma k_B^2/(6 hbar omega_0^2) for Ohmic friction, exactly 0
+    for the blackbody kernel, whose shift starts at T^4.
     """
     if model.K <= 0:
-        raise ValueError("shift baseline needs K > 0 (an oscillation frequency)")
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    _require_causal_or_override(kernel, model, allow_acausal)
-    if T == 0:
-        return 0.0, 0.0
-
-    D_Dp = denominator_closure(kernel, model)
+        raise ValueError("the T^2 law needs K > 0 (an oscillation frequency)")
     k = model.constants
-    kT = k.k_B * T
-    w_th = kT / k.hbar
-    w0 = model.omega_0
-    hbar = k.hbar
-
-    def integrand(om):
-        D, _ = D_Dp(om)
-        # the branch in [-pi, 0] of Im D <= 0, also where Im D is +0.0
-        psi = np.arctan2(-np.abs(D.imag), D.real) + np.where(om > w0, math.pi, 0.0)
-        return hbar * _bose(hbar * om / kT) * psi / math.pi
-
-    w_r, width = _resonance(D_Dp, w0, kernel.re_mu_real_axis(w0) / model.M)
-    pts = sorted({0.0, 30.0 * w_th, kernel.scale}
-                 | _resonance_points(w0, w_r, width, w_th))
-    cut = _BOSE_CUT * w_th
-    if cut > pts[-1]:
-        pts.append(cut)
-    # arg D steps by -pi across the line, and rounding places the step only
-    # to within eps w_r: below that error, weighted by hbar n(w_r), the
-    # quadrature may stop.
-    rounding = _EPS * w_r * hbar * float(_bose(hbar * w_r / kT))
-    return quad(integrand, pts, epsabs=rounding, epsrel=rtol)[:2]
+    mu0 = kernel.re_mu_real_axis(0.0)
+    return -math.pi * k.k_B ** 2 * mu0 / (6.0 * k.hbar * model.K) + 0.0
 
 
 def bbr_shift_closed_form(T: float, model: ParticleModel,
@@ -303,7 +257,7 @@ def bbr_shift_closed_form(T: float, model: ParticleModel,
 
 @dataclass(frozen=True)
 class FreeEnergyCurve:
-    """F(T) samples with optional decoupled baseline and quadrature errors.
+    """F(T) samples with optional decoupled baseline and rounding bounds.
 
     ``raw_shift`` holds F - baseline as the shift route computed it, before
     the baseline was added back; at weak coupling it is far more accurate
@@ -349,33 +303,22 @@ def free_energy_curve(kernel: MemoryKernel, model: ParticleModel,
                       temperatures, rtol: float = 1e-10,
                       allow_acausal: bool = False,
                       use_shift_route: bool = False) -> FreeEnergyCurve:
-    """Sample F0(T) on a grid.  Each T is an independent pure computation.
+    """Sample F0(T) on a grid, every temperature in one closed-form pass.
 
-    With ``use_shift_route`` the cancellation-free shift integral is evaluated
-    (kept as ``raw_shift``) and the decoupled baseline f(omega_0, T) added
-    back, which is the accurate choice at weak coupling.  ``rtol`` reaches
-    the quadrature of either route.
+    With ``use_shift_route`` the cancellation-free shift is evaluated (kept
+    as ``raw_shift``) and the decoupled baseline f(omega_0, T) added back,
+    which is the accurate choice at weak coupling.  ``rtol`` has no effect.
     """
     temps = np.asarray(temperatures, dtype=float)
-    vals = np.empty_like(temps)
-    errs = np.empty_like(temps)
-    base = np.empty_like(temps)
-    shifts = np.empty_like(temps) if use_shift_route else None
     k = model.constants
-    has_w0 = model.K > 0
-    for i, T in enumerate(temps):
-        base[i] = oscillator_free_energy(model.omega_0, T, k) if has_w0 and T > 0 else 0.0
-        if use_shift_route:
-            shifts[i], errs[i] = free_energy_shift(kernel, model, T, rtol=rtol,
-                                                   allow_acausal=allow_acausal)
-            vals[i] = base[i] + shifts[i]
-        else:
-            vals[i], errs[i] = coupled_free_energy(kernel, model, T, rtol=rtol,
-                                                   allow_acausal=allow_acausal)
+    base = np.array([oscillator_free_energy(model.omega_0, T, k)
+                     if model.K > 0 and T > 0 else 0.0 for T in temps])
+    vals, errs = _closed_form(kernel, model, temps, allow_acausal, use_shift_route)
+    shifts = vals if use_shift_route else None
     return FreeEnergyCurve(
-        temperatures=temps, values=vals, baseline=base, errors=errs,
-        kernel_meta=kernel.to_json(), model_meta=model.to_json(),
-        raw_shift=shifts,
+        temperatures=temps, values=base + vals if use_shift_route else vals,
+        baseline=base, errors=errs, kernel_meta=kernel.to_json(),
+        model_meta=model.to_json(), raw_shift=shifts,
     )
 
 

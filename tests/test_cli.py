@@ -163,6 +163,24 @@ def test_ohmic_shift_uses_the_model_mass(tmp_path):
         assert got["F0"] == pytest.approx(float(ref[1]), rel=1e-9)
 
 
+@pytest.mark.parametrize("kernel, want", [
+    ({"variant": "ohmic", "gamma": 0.02}, -math.pi * 0.02 / (6.0 * 0.25)),
+    ({"variant": "blackbody"}, 0.0),
+], ids=["ohmic", "blackbody"])
+def test_sidecar_reports_the_closed_form_t2_law(tmp_path, kernel, want):
+    # -(pi k_B^2 / 6 hbar)(sum_k 1/lam_k - 1/lam_b): -pi gamma/(6 omega_0^2)
+    # for Ohmic friction, exactly 0 for the blackbody kernel (T^4 leads)
+    data = {"command": "shift", "kernel": kernel, "dim": 3,
+            "model": {"M": 1.0, "K": 0.25, "Omega": 20.0},
+            "grids": {"T": [0.01, 0.02]}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0
+    result = json.loads((out / "shift.json").read_text())["meta"]["result"]
+    assert result["t2_low_temperature"] == pytest.approx(3.0 * want, rel=1e-14,
+                                                         abs=0.0)
+    assert "t2_low_temperature" not in (out / "shift.csv").read_text()
+
+
 def test_unwritable_output_directory_is_an_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -431,3 +431,19 @@ def test_ramp_is_exact_outside_the_ramp():
     assert np.all(sig.f(before) == 0.0) and np.all(sig.fdot(before) == 0.0)
     assert np.all(sig.f(after) == f0) and np.all(sig.fdot(after) == 0.0)
     assert sig.f(1.0) == pytest.approx(0.5 * f0, rel=1e-15)
+
+
+def test_growth_fit_matches_a_polynomial_least_squares_fit():
+    # the closed-form slope and R^2 against numpy's Vandermonde/SVD fit
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        t = np.sort(rng.uniform(0.0, 10.0, 90))
+        # at most ~12 decades of decay: every point of the tail is fitted
+        log_a = rng.uniform(-2.5, 3.0) * t + rng.normal(0.0, 1.0, t.size)
+        slope, r2 = motion._fit_log_growth(t, np.exp(log_a))
+        tail, la = t[60:], log_a[60:]
+        ref_slope, intercept = np.polyfit(tail, la, 1)
+        resid = la - (ref_slope * tail + intercept)
+        ref_r2 = 1.0 - np.sum(resid ** 2) / np.sum((la - la.mean()) ** 2)
+        assert slope == pytest.approx(ref_slope, rel=1e-10, abs=1e-12)
+        assert r2 == pytest.approx(ref_r2, rel=1e-10, abs=1e-12)

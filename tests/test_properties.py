@@ -4,6 +4,7 @@ import os
 import tempfile
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +29,7 @@ from qlebath import (
     poles_and_causality,
 )
 from qlebath.cli import _csv_text
+from qlebath.response import decay_rates, mass_for_kernel
 
 # derandomize: the same examples on every run, so the suite stays a fixed gate
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -110,6 +112,109 @@ def test_poles_are_roots_of_the_cleared_denominator(kernel, K):
         coupled = kernel.gamma > 0
     expected = 3 if coupled and not isinstance(kernel, OhmicKernel) else 2
     assert len(report.poles) == expected
+
+
+@st.composite
+def pole_models(draw):
+    """(kernel, model): every kernel family, in dimensionless and CGS units,
+    from overdamped to lines 90 decades narrower than their cutoff."""
+    family = draw(st.sampled_from(["ohmic", "single_relaxation", "blackbody"]))
+    cgs = draw(st.booleans())
+    k = PhysicalConstants.cgs() if cgs else DIMENSIONLESS
+    M = draw(log_uniform(-28, 1) if cgs else log_uniform(-3, 3))
+    w0 = draw(log_uniform(0, 16) if cgs else log_uniform(-3, 3))
+    K = draw(st.just(0.0) | st.just(M * w0 ** 2))
+    if family == "blackbody":
+        tau_e = ParticleModel(M=M, K=K, Omega=1.0, constants=k).tau_e
+        model = ParticleModel(M=M, K=K, constants=k,
+                              Omega=draw(log_uniform(-60, 4) if cgs
+                                         else log_uniform(-6, 4)) / tau_e)
+        return model.kernel(), model
+    gamma = w0 * draw(log_uniform(-10, 4))
+    kernel = (OhmicKernel(gamma=gamma, mass=M) if family == "ohmic" else
+              SingleRelaxationKernel(gamma=gamma, mass=M,
+                                     tau=draw(log_uniform(-4, 4)) / w0))
+    return kernel, ParticleModel(M=M, K=K, Omega=1.0, constants=k)
+
+
+def exact_decay_rates(kernel, model):
+    """Roots of (m lam^2 + K)(b0 - i b1 lam) - lam (a0 - i a1 lam), expanded
+    in 250-digit arithmetic from the model's own floats: the decay rates of
+    the poles z = -i lam, zero modes left out."""
+    with mpmath.workdps(250):
+        m, K = mpmath.mpf(mass_for_kernel(kernel, model)), mpmath.mpf(model.K)
+        a0, a1, b0, b1 = map(mpmath.mpc, kernel.coefficients)
+        if a0 == 0 and a1 == 0:
+            q = [m, 0, K]
+        else:
+            q = [(c * mpmath.conj(b0) / abs(b0)).real for c in
+                 (-1j * m * b1, m * b0 + 1j * a1, -1j * K * b1 - a0, K * b0)]
+        while q and q[0] == 0:
+            q = q[1:]
+        while q and q[-1] == 0:
+            q = q[:-1]
+        if len(q) < 3:
+            return [mpmath.mpc(-q[1] / q[0])] if len(q) == 2 else []
+        return [mpmath.mpc(r) for r in
+                mpmath.polyroots(q, maxsteps=200, extraprec=250)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=pole_models())
+def test_poles_match_250_digit_roots(case):
+    kernel, model = case
+    rates = [complex(lam) for lam in decay_rates(kernel, model)]
+    # an acausal cutoff far above 1/tau_e (bare mass m < -M) costs |m|/M in
+    # precision
+    rtol = 1e-13 * max(1.0, -mass_for_kernel(kernel, model) / model.M)
+    exact = exact_decay_rates(kernel, model)
+    assert len(rates) == len(exact)
+    for lam in rates:
+        ref = min(exact, key=lambda r: abs(complex(r) - lam))
+        exact.remove(ref)
+        # damping and frequency each to rtol, even where one is 90 decades
+        # below the other
+        for got, want in ((lam.real, ref.real), (lam.imag, ref.imag)):
+            assert abs(got - want) <= rtol * abs(want) + 1e-200 * abs(ref), \
+                (lam, complex(ref))
+
+
+def exact_closed_form(kernel, model, T, shift):
+    """-kT [sum_k B(lam_k/nu) - B(lam_b/nu)] (minus the decoupled terms with
+    ``shift``) in 250-digit arithmetic on the exact decay rates."""
+    rates = exact_decay_rates(kernel, model)
+    a0, a1, b0, b1 = kernel.coefficients
+    k = model.constants
+    with mpmath.workdps(250):
+        kT = mpmath.mpf(k.k_B) * mpmath.mpf(T)
+        nu = 2 * mpmath.pi * kT / mpmath.mpf(k.hbar)
+
+        def binet(x):
+            return (mpmath.loggamma(x) - (x - 0.5) * mpmath.log(x) + x
+                    - mpmath.log(2 * mpmath.pi) / 2)
+
+        total = sum(binet(lam / nu) if lam.real > 0 else -binet(-lam / nu)
+                    for lam in rates)
+        if b1 and (a0 or a1):
+            total -= binet(mpmath.mpc(b0) / (1j * mpmath.mpc(b1)) / nu)
+        if shift:
+            w0 = 1j * mpmath.mpf(model.omega_0) / nu
+            total -= binet(w0) + binet(-w0)
+        return -kT * total.real
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=pole_models(), x=log_uniform(-2, 2))
+def test_closed_form_free_energy_is_within_its_rounding_bound(case, x):
+    kernel, model = case
+    k = model.constants
+    # hbar w / kT = x for the line, or for the kernel scale of a free particle
+    T = k.hbar * (model.omega_0 if model.K > 0 else kernel.scale) / (k.k_B * x)
+    for shift in (False, True) if model.K > 0 else (False,):
+        fn = free_energy_shift if shift else coupled_free_energy
+        value, err = fn(kernel, model, T, allow_acausal=True)
+        exact = exact_closed_form(kernel, model, T, shift)
+        assert abs(value - exact) <= err, (shift, value, float(exact), err)
 
 
 # few examples: each draws two adaptive quadratures

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -101,6 +102,43 @@ def test_marginal_decoupled_oscillator():
     assert sorted(z.real for z in report.poles) == pytest.approx([-2.0, 2.0],
                                                                  abs=1e-9)
     assert max(abs(z.imag) for z in report.poles) < 1e-9
+
+
+def test_cgs_linewidth_beside_a_huge_cutoff():
+    # M = K = 2.5123 g, Omega tau_e = 0.316: Omega ~ 1.4e50 1/s.  Companion
+    # matrix roots were off by eps times the cutoff root here, Im z -2.98e-34
+    k = PhysicalConstants.cgs()
+    M = 2.5123
+    tau_e = ParticleModel(M=M, K=M, Omega=1.0, constants=k).tau_e
+    model = ParticleModel(M=M, K=M, Omega=0.316 / tau_e, constants=k)
+    kernel = model.kernel()
+    with mpmath.workdps(80):
+        m, C, Om = (mpmath.mpf(v) for v in
+                    (model.m_bare, kernel.radiation_coefficient, model.Omega))
+        # (K - m z^2)(z + i Omega) - i C Omega^2 z^2
+        exact = mpmath.polyroots([-m, -1j * (m * Om + C * Om ** 2), M,
+                                  1j * M * Om], maxsteps=200, extraprec=200)
+    report = poles_and_causality(kernel, model)
+    line = [z for z in report.poles if abs(z.real) > 0]
+    assert len(line) == 2
+    want = max(complex(r).imag for r in exact if abs(mpmath.re(r)) > 0.5)
+    assert want == pytest.approx(-1.14e-51, rel=1e-2, abs=0.0)
+    for z in line:
+        assert abs(z.real) == pytest.approx(1.0, rel=1e-15)
+        assert z.imag == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert report.causal
+
+
+def test_cgs_electron_line_is_not_marginal():
+    # the line sits 3.1e6 1/s below the axis at omega_0 = 1e15: far more than
+    # 1e-9 of its own modulus, though less than 1e-9 of the 1e20 cutoff root
+    k = PhysicalConstants.cgs()
+    M = 9.109e-28
+    model = ParticleModel(M=M, K=M * 1e30, Omega=1e20, constants=k)
+    report = poles_and_causality(model.kernel(), model)
+    assert report.causal
+    assert not report.marginal
+    assert report.max_im == pytest.approx(-3.13e6, rel=1e-2)
 
 
 def test_susceptibility_at_pole_raises():
