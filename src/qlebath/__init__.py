@@ -72,7 +72,7 @@ from .diffusion import (
     report_from_curve,
 )
 from .bath_sim import (
-    BathOscillator,
+    Bath,
     Ensemble,
     FdtReport,
     discretize_bath,

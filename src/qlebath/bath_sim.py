@@ -39,23 +39,32 @@ _DUMP_HEADER = {1: "<IIIddQ", 2: "<IIIIddddQ"}
 
 
 @dataclass(frozen=True)
-class BathOscillator:
-    """One bath mode: mass m_j, frequency omega_j, weight c_j = m_j omega_j^2."""
+class Bath:
+    """The bath modes: masses m_j and frequencies w_j as float arrays, with
+    weights c_j = m_j w_j^2."""
 
-    m_j: float
-    omega_j: float
+    m: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        if not (self.m_j > 0 and math.isfinite(self.m_j)):
+        m, w = np.asarray(self.m, dtype=float), np.asarray(self.w, dtype=float)
+        if m.ndim != 1 or m.size < 1 or w.shape != m.shape:
+            raise ValueError("bath masses and frequencies must be nonempty "
+                             "1-d arrays of equal length")
+        if not np.all((m > 0) & np.isfinite(m)):
             raise ValueError("bath oscillator mass must be positive and finite")
-        if not (self.omega_j > 0 and math.isfinite(self.omega_j)):
+        if not np.all((w > 0) & np.isfinite(w)):
             raise ValueError("bath oscillator frequency must be positive and finite")
-        if not math.isfinite(self.m_j * self.omega_j ** 2):
+        with np.errstate(over="ignore"):
+            finite_weights = np.all(np.isfinite(m * w ** 2))
+        if not finite_weights:
             raise ValueError("bath oscillator weight m_j omega_j^2 must be finite")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "w", w)
 
     @property
-    def weight(self) -> float:
-        return self.m_j * self.omega_j ** 2
+    def c(self) -> np.ndarray:
+        return self.m * self.w ** 2
 
 
 def bath_frequencies(kernel: MemoryKernel, N: int,
@@ -79,7 +88,7 @@ def bath_frequencies(kernel: MemoryKernel, N: int,
 
 
 def discretize_bath(kernel: MemoryKernel, N: int,
-                    omega_max: float | None = None) -> list:
+                    omega_max: float | None = None) -> Bath:
     """Uniform-frequency bath with weights m_j omega_j^2 = (2/pi) Re mu(omega_j) dw.
 
     The modes sit at bath_frequencies(kernel, N, omega_max); the uniform
@@ -93,23 +102,13 @@ def discretize_bath(kernel: MemoryKernel, N: int,
         raise ValueError(
             "kernel weight (2/pi) Re mu_tilde must be positive and finite at "
             "every grid node; this kernel cannot be discretized on (0, omega_max]")
-    masses = weights / nodes ** 2
-    return [BathOscillator(m_j=float(m), omega_j=float(w))
-            for m, w in zip(masses, nodes)]
+    return Bath(m=weights / nodes ** 2, w=nodes)
 
 
-def _bath_arrays(oscillators):
-    if len(oscillators) < 1:
-        raise ValueError("need at least one bath oscillator")
-    m = np.array([o.m_j for o in oscillators], dtype=float)
-    w = np.array([o.omega_j for o in oscillators], dtype=float)
-    return m, w, m * w ** 2
-
-
-def recurrence_time(bath) -> float:
-    """Poincare recurrence horizon 2 pi / (frequency spacing) of a bath,
-    given as its oscillators or as the array of their frequencies."""
-    w = bath if isinstance(bath, np.ndarray) else _bath_arrays(bath)[1]
+def recurrence_time(w: np.ndarray) -> float:
+    """Poincare recurrence horizon 2 pi / (frequency spacing) of a bath with
+    mode frequencies w."""
+    w = np.asarray(w, dtype=float)
     if w.size < 2:
         return math.inf
     dw = float(np.mean(np.diff(np.sort(w))))
@@ -118,11 +117,10 @@ def recurrence_time(bath) -> float:
     return 2.0 * math.pi / dw
 
 
-def reconstructed_memory(oscillators, t):
+def reconstructed_memory(bath: Bath, t):
     """Discrete memory function sum_j c_j cos(omega_j t) for t >= 0."""
-    _, w, c = _bath_arrays(oscillators)
     t_arr = np.asarray(t, dtype=float)
-    val = np.cos(np.multiply.outer(t_arr, w)) @ c
+    val = np.cos(np.multiply.outer(t_arr, bath.w)) @ bath.c
     return float(val) if t_arr.ndim == 0 else val
 
 
@@ -250,7 +248,7 @@ def _thermal_initial_data(m, w, kT, M, n_traj, seed, moving):
     return pos0, vel0
 
 
-def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
+def simulate_classical_io(bath: Bath, model: ParticleModel, T: float, t_grid,
                           n_traj: int, seed: int,
                           freeze_particle: bool = False,
                           x0: float = 0.0, v0: float | None = None) -> Ensemble:
@@ -275,7 +273,7 @@ def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
     n-trajectory ensemble start from the initial data of the k-trajectory
     one.
     """
-    m, w, c = _bath_arrays(oscillators)
+    m, w, c = bath.m, bath.w, bath.c
     t = check_time_grid(t_grid)
     if t[0] < 0:
         raise GridError("time grid must be nonnegative")
@@ -286,7 +284,7 @@ def simulate_classical_io(oscillators, model: ParticleModel, T: float, t_grid,
 
     kT = model.constants.k_B * T
     M, K = model.M, model.K
-    N = len(oscillators)
+    N = m.size
     pos0, vel0 = _thermal_initial_data(m, w, kT, M, n_traj, seed,
                                        moving=not freeze_particle)
 
@@ -360,7 +358,7 @@ def comparison_window(kernel: MemoryKernel, t_rec: float) -> float:
     return window_end
 
 
-def force_autocorrelation_check(ens: Ensemble, oscillators,
+def force_autocorrelation_check(ens: Ensemble, bath: Bath,
                                 kernel: MemoryKernel) -> FdtReport:
     """Check <F(t)F(0)> = kT mu(t) on a frozen-particle ensemble.
 
@@ -372,7 +370,7 @@ def force_autocorrelation_check(ens: Ensemble, oscillators,
     if ens.force is None:
         raise ValueError("ensemble was not generated with freeze_particle=True; "
                          "the bath force is not observable")
-    window_end = comparison_window(kernel, recurrence_time(oscillators))
+    window_end = comparison_window(kernel, recurrence_time(bath.w))
     mask = ens.times <= window_end
     if int(mask.sum()) < 2:
         raise GridError("time grid has fewer than two points inside the "
@@ -386,7 +384,7 @@ def force_autocorrelation_check(ens: Ensemble, oscillators,
             "insufficient statistics: need at least two trajectories")
     stderr = prod.std(axis=0, ddof=1) / math.sqrt(ens.n_traj)
     kT = ens.k_B * ens.T
-    target = kT * reconstructed_memory(oscillators, t)
+    target = kT * reconstructed_memory(bath, t)
     scale0 = abs(target[0]) if target[0] != 0 else 1.0
     if stderr[0] > 0.3 * scale0:
         raise InsufficientStatisticsError(

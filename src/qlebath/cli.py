@@ -50,9 +50,6 @@ def _csv_text(header, columns) -> str:
 
 
 def _write_artifacts(cfg: RunConfig, header, columns, meta: dict) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, cfg.output["csv"])
-    _atomic_write_text(csv_path, _csv_text(header, columns))
     sidecar = cfg.to_json()
     sidecar["meta"] = {
         "package": "qlebath",
@@ -60,8 +57,13 @@ def _write_artifacts(cfg: RunConfig, header, columns, meta: dict) -> None:
         "numpy": np.__version__,
         **meta,
     }
+    # strict JSON: a NaN or infinity raises here, before any file is written
+    sidecar_text = json.dumps(sidecar, allow_nan=False) + "\n"
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    csv_path = os.path.join(cfg.out_dir, cfg.output["csv"])
+    _atomic_write_text(csv_path, _csv_text(header, columns))
     json_path = os.path.join(cfg.out_dir, cfg.output["json"])
-    _atomic_write_text(json_path, json.dumps(sidecar) + "\n")
+    _atomic_write_text(json_path, sidecar_text)
 
 
 def _dim_factor(cfg: RunConfig) -> float:
@@ -191,15 +193,15 @@ def _run_diffusion(cfg: RunConfig) -> dict:
 def _run_oracle(cfg: RunConfig) -> dict:
     kernel, model = cfg.kernel(), cfg.model()
     opts = cfg.options
-    oscillators = bath_sim.discretize_bath(kernel, opts["N"], opts["omega_max"])
+    bath = bath_sim.discretize_bath(kernel, opts["N"], opts["omega_max"])
     t_grid = cfg.grid("t")
     ens = bath_sim.simulate_classical_io(
-        oscillators, model, opts["T"], t_grid, opts["n_traj"], cfg.seed,
+        bath, model, opts["T"], t_grid, opts["n_traj"], cfg.seed,
         freeze_particle=opts["freeze_particle"])
 
-    t_rec = bath_sim.recurrence_time(oscillators)
+    t_rec = bath_sim.recurrence_time(bath.w)
     if opts["freeze_particle"]:
-        report = bath_sim.force_autocorrelation_check(ens, oscillators, kernel)
+        report = bath_sim.force_autocorrelation_check(ens, bath, kernel)
         header = ("t", "facf_mean", "facf_stderr", "facf_target")
         columns = (report.times, report.estimate, report.stderr, report.target)
         result = {**report.to_json(), "t_rec": t_rec}

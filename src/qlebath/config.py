@@ -11,6 +11,7 @@ A config file is a single JSON object.  Keys common to every command:
     kernel     {"variant": "ohmic"|"single_relaxation"|"blackbody", ...}; the
                kernel's mass ("mass", blackbody "M") defaults to model.M and
                must match it, as a blackbody "Omega" must match model.Omega
+               (1/tau_e when the model is "point-limit")
     model      {"M", "K", "Omega"} with "Omega" a number or "point-limit";
                the whole value may also be the string "point-limit"
     grids      {"T": ..., "t": ..., "omega": ...}; each grid is a list of
@@ -117,14 +118,11 @@ class RunConfig:
         if self.kernel_spec is None:
             raise ConfigError(f"command '{self.command}' requires a kernel",
                               key="kernel")
+        if self.kernel_spec["variant"] == "blackbody":
+            # its M and Omega, where given, match the model's (validated)
+            return self.model().kernel()
         spec = dict(self.kernel_spec)
-        blackbody = spec.get("variant") == "blackbody"
-        spec.setdefault("M" if blackbody else "mass", self.model_spec["M"])
-        if blackbody:
-            omega = self.model_spec["Omega"]
-            if omega == "point-limit":
-                omega = 1.0 / self.model().tau_e
-            spec.setdefault("Omega", omega)
+        spec.setdefault("mass", self.model_spec["M"])
         try:
             return kernel_from_json(spec, constants=self.constants)
         except (ValueError, TypeError) as exc:
@@ -277,11 +275,12 @@ def _normalize_kernel(value, model_spec: dict, constants: PhysicalConstants):
         raise ConfigError(
             f"kernel.{mass_key} = {spec[mass_key]:.6g} conflicts with "
             f"model.M = {model_spec['M']:.6g}", key=f"kernel.{mass_key}")
-    if variant == "blackbody":
+    if variant == "blackbody" and "Omega" in spec:
         model_omega = model_spec["Omega"]
-        if ("Omega" in spec and model_omega != "point-limit"
-                and not math.isclose(spec["Omega"], model_omega,
-                                     rel_tol=1e-12)):
+        if model_omega == "point-limit":
+            model_omega = ParticleModel.point_limit(
+                model_spec["M"], model_spec["K"], constants).Omega
+        if not math.isclose(spec["Omega"], model_omega, rel_tol=1e-12):
             raise ConfigError(
                 f"kernel.Omega = {spec['Omega']:.6g} conflicts with "
                 f"model.Omega = {model_omega:.6g}", key="kernel.Omega")

@@ -25,7 +25,7 @@ class AcausalModelError(QlebathError):
 
 
 class StepSizeError(QlebathError):
-    """Fixed-step integration failed its step-halving or finiteness check."""
+    """Fixed-step integration failed its step check or left the finite range."""
 
 
 class GridError(QlebathError):

@@ -21,15 +21,16 @@ any finite-precision initial acceleration cannot reach this solution: an
 initial error of size delta seeds delta e^{t/tau_e}, which immediately
 dominates the O((omega tau_e)^2) difference one wants to measure.
 
-The point-limit and bounded solutions have an acceleration that is an
-explicit function of time, so both go through one RK4 path with no state
-feedback: a(t) is sampled once at the quarter points of each grid interval,
-the paths at the grid step and at half of it are running sums, and their
-endpoint disagreement is the step check.  The third-order equations are
-linear, a' = q a + s(t): however stiff q is, each grid interval is one exact
-exponential step for s interpolated at the same quarter points (Hochbruck &
-Ostermann, Acta Numerica 19, 209 (2010)), a is a scalar recurrence and x, v
-are running sums.  Drives are sampled on arrays of times.
+Every integration takes one step per grid interval on the same rule: the
+drive is sampled once at the quarter points of each interval, and the step
+is exact for the quartic through those five samples (Hochbruck & Ostermann,
+Acta Numerica 19, 209 (2010)).  The third-order equations are linear,
+a' = q a + s(t): however stiff q is, each step is an exact exponential step,
+a is a scalar recurrence and x, v are running sums.  The point-limit and
+bounded solutions have an acceleration that is an explicit function of time
+(no state feedback), the q = 0 case of the same step: v and x are running
+sums, v's by Boole's rule, and Simpson's rule on the same samples is the
+step check.  Drives are sampled on arrays of times.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ _PHI7_TAYLOR = np.array([1.0 / math.factorial(j + 7) for j in range(29, -1, -1)]
 _LAGRANGE = np.array([[3, -25, 140, -480, 768], [0, 48, -416, 1728, -3072],
                       [0, -36, 456, -2304, 4608], [0, 16, -224, 1344, -3072],
                       [0, -3, 44, -288, 768]]) / 3.0
+# phi_{k+1}(0) = 1/(k+1)! and phi_{k+2}(0): c_k's weights in a q = 0 step
+_PHI_AT_ZERO = 1.0 / np.array([[math.factorial(k + 1), math.factorial(k + 2)]
+                               for k in range(5)])
+# Simpson's v and x weights of the samples at s = 0, 1/2, 1, for the step check
+_SIMPSON = np.array([[1.0, 1.0], [4.0, 2.0], [1.0, 0.0]]) / 6.0
 
 
 @dataclass(frozen=True)
@@ -154,9 +160,11 @@ class Trajectory:
             raise ValueError("growth_rate is only recorded for runaways")
 
     def summary_json(self) -> dict:
+        """The sidecar summary: a rate that overflowed unfitted (inf) is null."""
+        growth = self.growth_rate
         return {
             "runaway": self.runaway_flag,
-            "growth_rate": self.growth_rate,
+            "growth_rate": growth if growth != math.inf else None,
             "fit_r2": self.fit_r2,
         }
 
@@ -200,56 +208,47 @@ def _classify(times: np.ndarray, a: np.ndarray, tau_e: float):
     return bool(runaway), growth, fit_rate, fit_r2
 
 
-def _rk4_known(h: np.ndarray, a1: np.ndarray, a2: np.ndarray, a3: np.ndarray,
-               a4: np.ndarray, x0: float, v0: float):
-    """RK4 x and v paths over steps h, given the acceleration at the four stages.
-
-    The RK4 update of (x, v) with x' = v, v' = a is
-    v += h/6 (a1 + 2 a2 + 2 a3 + a4) and x += h v + h^2/6 (a1 + a2 + a3), so
-    the whole path is two running sums.  For a known a(t) the stages are
-    (a0, a_mid, a_mid, a1).
-    """
-    v = np.cumsum(np.concatenate(([v0], h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4))))
-    dx = h * v[:-1] + h * h / 6.0 * (a1 + a2 + a3)
-    return np.cumsum(np.concatenate(([x0], dx))), v
-
-
-def _quarter_samples(fn, t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """fn at the quarter points of every interval and at t[-1], one call."""
-    return fn(np.append((t[:-1, None] + h[:, None] * _QUARTERS).ravel(), t[-1]))
+def _interval_samples(fn, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """fn at the quarter points of each grid interval, a row of 5, one call."""
+    s = fn(np.append((t[:-1, None] + h[:, None] * _QUARTERS).ravel(), t[-1]))
+    return np.column_stack((s[:-1].reshape(-1, 4), s[4::4]))
 
 
 def _integrate_known_acceleration(accel, t_grid, x0: float, v0: float,
                                   rtol: float, tau_e: float) -> Trajectory:
-    """Integrate xdd = accel(t) by RK4 at the grid step and at half of it.
+    """Integrate xdd = accel(t) exactly for accel interpolated at the quarter
+    points of every grid interval.
 
-    accel is sampled once at the quarter points of every interval: the full
-    step uses the ends and the middle, the two half steps use all five.  The
-    half-step path is returned; StepSizeError is raised when either path
-    leaves the finite range or when the two endpoints disagree beyond
-    ``rtol`` of the position scale.
+    This is ``_exponential_path`` at q = 0 with the roles shifted (x as v, v
+    as a): phi_k(0) = 1/k!, so v += h sum_k c_k/(k+1)!, which is Boole's
+    rule, and x += h v + h^2 sum_k c_k/(k+2)!.  StepSizeError is raised when
+    the path leaves the finite range, or when its endpoint and that of
+    Simpson's rule on each interval's ends and middle differ beyond ``rtol``
+    of the position scale.
     """
     t = check_time_grid(t_grid)
     h = np.diff(t)
-    samples = _quarter_samples(accel, t, h)
-    x_full, v_full = _rk4_known(h, samples[0:-1:4], samples[2::4],
-                                samples[2::4], samples[4::4], x0, v0)
-    x_half, v_half = _rk4_known(np.repeat(0.5 * h, 2), samples[0:-1:2],
-                                samples[1::2], samples[1::2], samples[2::2],
-                                x0, v0)
-    if not all(np.all(np.isfinite(p)) for p in (x_full, v_full, x_half, v_half)):
+    samples = _interval_samples(accel, t, h)
+    steps = np.array([h, h * h])
+    increments = (samples @ _LAGRANGE @ _PHI_AT_ZERO).T * steps
+    dv, dx = increments
+    v = np.cumsum(np.append(v0, dv))
+    x = np.cumsum(np.append(x0, h * v[:-1] + dx))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
         raise StepSizeError("integration left the finite range (check the drive)")
-    scale = float(np.max(np.abs(x_half))) + 1e-300
-    if abs(x_full[-1] - x_half[-1]) > rtol * scale:
+    scale = float(np.max(np.abs(x))) + 1e-300
+    # v += dv, x += h v + dx ends at x0 + v0 (t[-1] - t[0])
+    # + sum_j (dv_j (t[-1] - t[j+1]) + dx_j): Simpson's endpoint is off by
+    ev, ex = increments - (samples[:, ::2] @ _SIMPSON).T * steps
+    gap = abs((t[-1] - t[1:]) @ ev + ex.sum())
+    if not gap <= rtol * scale:
         raise StepSizeError(
-            f"step too large: halving the step moves the endpoint by "
-            f"{abs(x_full[-1] - x_half[-1]):.3e} (> {rtol:g} of scale {scale:.3e})"
-        )
-    a = samples[::4]
+            f"step too large: Simpson's rule moves the endpoint by {gap:.3e} "
+            f"(> {rtol:g} of scale {scale:.3e})")
+    a = np.append(samples[:, 0], samples[-1, 4])
     runaway, growth, fit_rate, fit_r2 = _classify(t, a, tau_e)
-    return Trajectory(times=t, x=x_half[::2], v=v_half[::2], a=a,
-                      runaway_flag=runaway, growth_rate=growth,
-                      fit_rate=fit_rate, fit_r2=fit_r2)
+    return Trajectory(times=t, x=x, v=v, a=a, runaway_flag=runaway,
+                      growth_rate=growth, fit_rate=fit_rate, fit_r2=fit_r2)
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -289,9 +288,7 @@ def _exponential_path(source, q: float, t: np.ndarray, x: float, v: float,
     leaves x, v, a non-finite from that grid point on.
     """
     h = np.diff(t)
-    samples = _quarter_samples(source, t, h)
-    c = (np.column_stack((samples[:-1].reshape(-1, 4), samples[4::4]))
-         @ _LAGRANGE).T
+    c = (_interval_samples(source, t, h) @ _LAGRANGE).T
     steps, which = np.unique(h, return_inverse=True)
     phi = _phi(q * steps)[:, which]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -314,12 +311,13 @@ def _exponential_path(source, q: float, t: np.ndarray, x: float, v: float,
 def integrate_point_limit(sig: ForceSignal, model: ParticleModel, t_grid,
                           x0: float = 0.0, v0: float = 0.0,
                           rtol: float = 1e-8) -> Trajectory:
-    """Integrate M xdd = f + tau_e fdot with fixed-step RK4.
+    """Integrate M xdd = f + tau_e fdot, one quarter-point step per grid
+    interval.
 
     The acceleration is the closed form (f + tau_e fdot)/M, so runaways are
     impossible; the solution for given (x0, v0) is unique.  The step check
-    integrates again at half step and raises StepSizeError when the
-    endpoints disagree beyond ``rtol`` of the position scale.
+    raises StepSizeError when Simpson's rule on the same samples moves the
+    endpoint beyond ``rtol`` of the position scale.
     """
     return _integrate_known_acceleration(
         lambda tk: (sig.f(tk) + model.tau_e * sig.fdot(tk)) / model.M, t_grid,
@@ -385,7 +383,8 @@ def bounded_al_trajectory(sig: ForceSignal, model: ParticleModel, t_grid,
 
     The acceleration is a known smooth function of time (no state
     feedback), so the trajectory exists for all times and never runs away.
-    The step check is the one of ``integrate_point_limit``.
+    x and v take the quarter-point steps of ``integrate_point_limit``, with
+    its Simpson step check.
     """
     return _integrate_known_acceleration(
         lambda tk: bounded_al_acceleration(sig, model, tk), t_grid, x0, v0,

@@ -165,7 +165,7 @@ class PoleReport:
     ``causal`` is True iff every pole lies strictly below the real axis —
     except real-axis poles within the marginal tolerance (an undamped
     oscillator), which set ``marginal`` and leave the verdict causal.
-    ``max_im`` is -inf when there are no poles.
+    ``max_im`` is -inf when there are no poles, null in ``to_json``.
     """
 
     poles: tuple[complex, ...]
@@ -177,7 +177,7 @@ class PoleReport:
         return {
             "poles": [[z.real, z.imag] for z in self.poles],
             "causal": self.causal,
-            "max_im": self.max_im,
+            "max_im": self.max_im if self.poles else None,
             "marginal": self.marginal,
         }
 

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from qlebath import (
     DIMENSIONLESS,
+    Bath,
     GridError,
     InsufficientStatisticsError,
     OhmicKernel,
@@ -29,23 +30,20 @@ from qlebath import (
 from qlebath import bath_sim
 
 
-def reconstructed_mu_tilde(osc, z):
+def reconstructed_mu_tilde(bath, z):
     """Reference discrete transform sum_j c_j i z / (z^2 - omega_j^2)."""
-    c = np.array([o.weight for o in osc])
-    w = np.array([o.omega_j for o in osc])
-    return complex(np.sum(c * 1j * z / (z * z - w ** 2)))
+    return complex(np.sum(bath.c * 1j * z / (z * z - bath.w ** 2)))
 
 
 def test_discretization_nodes_and_weights():
     kernel = SingleRelaxationKernel(gamma=1.0, tau=1.0)
     osc = discretize_bath(kernel, N=4, omega_max=10.0)
     dw = 10.0 / 4
-    nodes = [o.omega_j for o in osc]
-    assert nodes == pytest.approx([0.5 * dw, 1.5 * dw, 2.5 * dw, 3.5 * dw])
-    for o in osc:
-        expected = (2.0 / math.pi) * kernel.re_mu_real_axis(o.omega_j) * dw
-        assert o.weight == pytest.approx(expected, rel=1e-12)
-        assert o.m_j == pytest.approx(expected / o.omega_j ** 2, rel=1e-12)
+    assert list(osc.w) == pytest.approx([0.5 * dw, 1.5 * dw, 2.5 * dw, 3.5 * dw])
+    for m, w, c in zip(osc.m, osc.w, osc.c):
+        expected = (2.0 / math.pi) * kernel.re_mu_real_axis(w) * dw
+        assert c == pytest.approx(expected, rel=1e-12)
+        assert m == pytest.approx(expected / w ** 2, rel=1e-12)
 
 
 def test_discretization_guards():
@@ -54,6 +52,21 @@ def test_discretization_guards():
         discretize_bath(kernel, N=1, omega_max=50.0)
     with pytest.raises(GridError):
         discretize_bath(kernel, N=100, omega_max=5.0)  # < 10 * scale
+
+
+@pytest.mark.parametrize("m, w, match", [
+    ([1.0, 0.0], [1.0, 2.0], "mass"),
+    ([1.0, math.inf], [1.0, 2.0], "mass"),
+    ([1.0, 1.0], [1.0, -2.0], "frequency"),
+    ([1.0, 1.0], [math.nan, 2.0], "frequency"),
+    ([1e300, 1.0], [1e5, 2.0], "weight"),
+    ([1.0, 1.0], [1.0], "equal length"),
+    ([], [], "nonempty"),
+], ids=["zero-mass", "inf-mass", "negative-w", "nan-w", "inf-weight",
+        "lengths", "empty"])
+def test_bath_rejects_modes_that_are_not_positive_and_finite(m, w, match):
+    with pytest.raises(ValueError, match=match):
+        Bath(m=m, w=w)
 
 
 def test_memory_reconstruction_matches_exponential_kernel():
@@ -91,7 +104,7 @@ def test_refinement_reduces_reconstruction_error():
 def test_recurrence_time_is_set_by_the_frequency_spacing():
     kernel = OhmicKernel(gamma=1.0)
     osc = discretize_bath(kernel, N=80, omega_max=16.0)
-    assert recurrence_time(osc) == pytest.approx(2.0 * math.pi / (16.0 / 80),
+    assert recurrence_time(osc.w) == pytest.approx(2.0 * math.pi / (16.0 / 80),
                                                  rel=1e-9)
 
 
@@ -196,8 +209,7 @@ def test_first_trajectories_do_not_depend_on_the_ensemble_size(freeze):
     kernel = OhmicKernel(gamma=1.0)
     model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
     osc = discretize_bath(kernel, N=30, omega_max=16.0)
-    m = np.array([o.m_j for o in osc])
-    w = np.array([o.omega_j for o in osc])
+    m, w = osc.m, osc.w
     small = bath_sim._thermal_initial_data(m, w, 1.2, 1.0, 7, 9, not freeze)
     large = bath_sim._thermal_initial_data(m, w, 1.2, 1.0, 50, 9, not freeze)
     for a, b in zip(small, large):
@@ -233,8 +245,8 @@ def test_moving_particle_matches_the_matrix_exponential():
     t = np.linspace(0.0, 10.0, 21)
     ens = simulate_classical_io(osc, model, 0.0, t, n_traj=1, seed=3,
                                 x0=0.5, v0=1.0)
-    c = np.array([o.weight for o in osc])
-    mass = np.concatenate(([1.0], [o.m_j for o in osc]))
+    c = osc.c
+    mass = np.concatenate(([1.0], osc.m))
     H = np.diag(np.concatenate(([1.0 + c.sum()], c)))
     H[0, 1:] = H[1:, 0] = -c
     n = c.size + 1

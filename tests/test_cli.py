@@ -403,6 +403,37 @@ def test_electron_motion_point_limit_and_runaway_summary(tmp_path):
     assert result["growth_rate"] == pytest.approx(TAU_E_INVERSE, rel=1e-2)
 
 
+def _reject_constant(name):
+    raise ValueError(f"sidecar holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("data, name, key", [
+    # no poles at all: Ohmic gamma = 0 with K = 0
+    ({"command": "causality", "kernel": {"variant": "ohmic", "gamma": 0.0},
+      "model": {"M": 1.0, "K": 0.0, "Omega": 1.0}}, "causality", "max_im"),
+    # a runaway that overflows before its final third can be fitted
+    ({"command": "electron-motion", "integrator": "abraham-lorentz",
+      "a0": 1.0, "grids": {"t": {"start": 0.0, "stop": 100.0, "num": 21}}},
+     "electron_motion", "growth_rate"),
+], ids=["causality", "electron-motion"])
+def test_sidecar_is_strict_json(tmp_path, data, name, key):
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0
+    text = (out / f"{name}.json").read_text()
+    sidecar = json.loads(text, parse_constant=_reject_constant)
+    assert sidecar["meta"]["result"][key] is None
+
+
+def test_a_sidecar_value_outside_json_fails_the_run(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(motion.Trajectory, "summary_json",
+                        lambda self: {"growth_rate": math.nan})
+    rc, out = run_cli(tmp_path, SMOKE_CASES["electron-motion"][0])
+    assert rc == 3
+    assert "error: numerical" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command, integrator, module, function", [
     ("diffusion", None, diffusion, "msd_curve"),
     ("electron-motion", "point-limit", motion, "integrate_point_limit"),

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qlebath import ConfigError, PhysicalConstants, load_config, validate_config
+from qlebath import (ConfigError, ParticleModel, PhysicalConstants, load_config,
+                     validate_config)
 
 
 def minimal(command="welton", **extra):
@@ -145,6 +146,18 @@ def test_blackbody_cutoff_conflict_detected():
             "grids": {"omega": [1.0, 2.0]}}
     with pytest.raises(ConfigError):
         validate_config(data)
+
+
+def test_blackbody_cutoff_conflicts_with_the_point_limit():
+    # the default model sits at Omega = 1/tau_e = 205.5...
+    data = {"command": "causality",
+            "kernel": {"variant": "blackbody", "Omega": 5.0}}
+    with pytest.raises(ConfigError, match=r"kernel\.Omega .* 205\.5") as info:
+        validate_config(data)
+    assert info.value.key == "kernel.Omega"
+    data["kernel"]["Omega"] = ParticleModel.point_limit(1.0, 1.0).Omega
+    assert validate_config(data).kernel() == ParticleModel.point_limit(
+        1.0, 1.0).kernel()
 
 
 def test_blackbody_kernel_inherits_model_cutoff():

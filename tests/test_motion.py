@@ -189,6 +189,40 @@ def test_step_halving_guard(integrate):
     assert len(traj.x) == 401
 
 
+@pytest.mark.parametrize("integrate", [integrate_point_limit,
+                                       bounded_al_trajectory])
+def test_known_acceleration_reaches_the_sinusoid_closed_form(integrate):
+    # a = A (sin wt + B w cos wt): B = tau_e at the point limit, and the
+    # bounded solution scales it by 1/(1 + (w tau_e)^2)
+    f0, w, x0, v0 = 1.0, 2.0, 0.3, -0.5
+    model = free_model()
+    tau = model.tau_e
+    A = f0 / model.M
+    if integrate is bounded_al_trajectory:
+        A /= 1.0 + (w * tau) ** 2
+    t = np.linspace(0.0, 8.0, 401)
+    traj = integrate(sinusoid(f0, w), model, t, x0=x0, v0=v0)
+    va = v0 + A * ((1.0 - np.cos(w * t)) / w + tau * np.sin(w * t))
+    xa = x0 + v0 * t + A * ((t - np.sin(w * t) / w) / w
+                            + tau * (1.0 - np.cos(w * t)) / w)
+    assert np.max(np.abs(traj.x - xa)) < 1e-13 * np.max(np.abs(xa))
+    assert np.max(np.abs(traj.v - va)) < 1e-13 * np.max(np.abs(va))
+
+
+@pytest.mark.parametrize("sig", [sinusoid(0.8, 1.3), gaussian_pulse(1.2, 3.0, 0.6)],
+                         ids=["sinusoid", "pulse"])
+def test_known_acceleration_is_the_exponential_step_at_q_zero(sig):
+    # one rule: xdd = a(t) is a' = 0 a + s(t) with x as v and v as a
+    model = free_model()
+    t = np.concatenate((np.linspace(0.0, 4.0, 161), np.geomspace(4.05, 8.0, 80)))
+    traj = integrate_point_limit(sig, model, t, x0=0.4, v0=-1.1)
+    _, x, v = motion._exponential_path(
+        lambda tk: (sig.f(tk) + model.tau_e * sig.fdot(tk)) / model.M, 0.0, t,
+        0.0, 0.4, -1.1)
+    assert np.max(np.abs(traj.x - x)) <= 1e-14 * np.max(np.abs(x))
+    assert np.max(np.abs(traj.v - v)) <= 1e-14 * np.max(np.abs(v))
+
+
 def test_time_grid_validation():
     model = free_model()
     with pytest.raises(GridError, match="strictly increasing"):
