@@ -186,7 +186,8 @@ def _run_diffusion(cfg: RunConfig) -> dict:
     report = diffusion.report_from_curve(curve)
     _write_artifacts(cfg, ("t", "msd", "regime_tag"),
                      (curve.times, curve.values, tags),
-                     {"result": report.to_json()})
+                     {"result": report.to_json(),
+                      "diagnostics": curve.diagnostics})
     return report.to_json()
 
 

@@ -474,3 +474,33 @@ def test_importing_the_cli_loads_no_scipy():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_blackbody_free_particle_is_ballistic_not_einstein(tmp_path):
+    # mu(0) = 0: alpha's double pole at z = 0 makes the particle ballistic,
+    # kT t^2/M, at any T > 0; no Einstein D may be reported
+    data = {"command": "diffusion", "kernel": {"variant": "blackbody"},
+            "model": {"M": 1, "K": 0}, "T": 1, "classical": True}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0
+    sidecar = json.loads((out / "diffusion.json").read_text())
+    result = sidecar["meta"]["result"]
+    assert result["anomalous"] is True
+    assert "D" not in result
+    assert result["exponent"] == pytest.approx(2.0, abs=0.1)
+    tags = [row[2] for row in read_rows(out / "diffusion.csv")[1:]]
+    assert set(tags) == {"ballistic"}
+
+
+def test_diffusion_sidecar_states_the_route_of_its_points(tmp_path):
+    data = {"command": "diffusion", "T": 0.5, "classical": False,
+            "kernel": {"variant": "ohmic", "gamma": 1.0},
+            "model": {"M": 1.0, "K": 0.0},
+            "grids": {"t": [0.01, 0.1, 1.0, 2.0, 5.0, 10.0]}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0
+    sidecar = json.loads((out / "diffusion.json").read_text())
+    # nu_1 t = pi t: 0.01 takes the quadrature, 0.1 sums ceil(40/(0.1 pi))
+    assert sidecar["meta"]["diagnostics"] == {
+        "route": {"poles": 5, "quadrature": 1}, "matsubara_terms": 128}
+    assert validate_config(sidecar).command == "diffusion"
