@@ -23,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from . import bath_sim, diffusion, motion, thermo
-from .config import RunConfig, load_config
+from .config import _FORCE_TYPES, RunConfig, load_config
 from .errors import ConfigError, QlebathError
 from .response import poles_and_causality, susceptibility
 
@@ -139,21 +139,13 @@ def _run_welton(cfg: RunConfig) -> dict:
     return {}
 
 
-def _build_force(spec: dict) -> motion.ForceSignal:
-    ftype = spec["type"]
-    if ftype == "zero":
-        return motion.zero_force()
-    if ftype == "constant_ramp":
-        return motion.constant_with_ramp(spec["f0"], spec["t_ramp"])
-    if ftype == "sinusoid":
-        return motion.sinusoid(spec["f0"], spec["omega"])
-    return motion.gaussian_pulse(spec["f0"], spec["t0"], spec["sigma"])
-
-
 def _run_electron_motion(cfg: RunConfig) -> dict:
     model = cfg.model()
     t_grid = cfg.grid("t")
-    sig = _build_force(cfg.options["force"])
+    force = cfg.options["force"]
+    factory, params = _FORCE_TYPES[force["type"]]
+    # looked up on motion at each run, where a tracer may have wrapped it
+    sig = getattr(motion, factory)(*(force[p] for p in params))
     x0 = cfg.options["x0"]
     v0 = cfg.options["v0"]
     a0 = cfg.options["a0"]

@@ -8,10 +8,11 @@ A config file is a single JSON object.  Keys common to every command:
     dim        1 (default) or 3 -- applies the multiply-by-three convention
     seed       integer in [0, 2**64); required for the oracle command
     tolerance  float, default 1e-8 (quadrature/fit tolerance where relevant)
-    kernel     {"variant": "ohmic"|"single_relaxation"|"blackbody", ...}; the
-               kernel's mass ("mass", blackbody "M") defaults to model.M and
-               must match it, as a blackbody "Omega" must match model.Omega
-               (1/tau_e when the model is "point-limit")
+    kernel     {"variant": "ohmic"|"single_relaxation"|"blackbody", ...} and
+               the fields of that class in ``kernels``; one without a default
+               is required, but the mass ("mass", blackbody "M") defaults to
+               model.M and blackbody "Omega" to model.Omega (1/tau_e when the
+               model is "point-limit"), and each must match the model's
     model      {"M", "K", "Omega"} with "Omega" a number or "point-limit";
                the whole value may also be the string "point-limit"
     grids      {"T": ..., "t": ..., "omega": ...}; each grid is a list of
@@ -21,7 +22,9 @@ A config file is a single JSON object.  Keys common to every command:
     out_dir    output directory (default "."), overridden by --out
     meta       ignored on load, so emitted sidecars reload as valid configs
 
-Unknown keys are rejected with the dotted path of the offending key.
+Each command's required grid, kernel, default model.K and extra keys are
+one entry of ``_COMMANDS``.  Unknown keys are rejected with the dotted path
+of the offending key.
 """
 
 from __future__ import annotations
@@ -29,33 +32,35 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import bath_sim
 from ._grid import is_uniform_grid
 from .errors import ConfigError, GridError
-from .kernels import DIMENSIONLESS, PhysicalConstants, kernel_from_json
+from .kernels import DIMENSIONLESS, KERNELS, PhysicalConstants, kernel_from_json
 from .response import ParticleModel
 
-COMMANDS = ("susceptibility", "causality", "free-energy", "shift",
-            "welton", "electron-motion", "diffusion", "oracle")
+# Per command: the grid it requires (None: none), whether it builds a kernel
+# from config["kernel"], the default model.K, its K rule (True: model.K > 0,
+# False: model.K = 0, None: any) and the extra keys it accepts, with defaults.
+_Command = namedtuple("_Command", "grid kernel K bound options")
 
-# Commands that build a memory kernel from config["kernel"].
-KERNEL_COMMANDS = ("susceptibility", "causality", "free-energy", "shift",
-                   "diffusion", "oracle")
-
-# Grid each command requires (None = no mandatory grid).
-_REQUIRED_GRID = {
-    "susceptibility": "omega",
-    "causality": None,
-    "free-energy": "T",
-    "shift": "T",
-    "welton": "T",
-    "electron-motion": "t",
-    "diffusion": None,
-    "oracle": "t",
+_COMMANDS = {
+    "susceptibility": _Command("omega", True, 1.0, None, {}),
+    "causality": _Command(None, True, 1.0, None, {}),
+    "free-energy": _Command("T", True, 1.0, True, {"allow_acausal": False}),
+    "shift": _Command("T", True, 1.0, True, {"allow_acausal": False}),
+    "welton": _Command("T", False, 1.0, None, {}),
+    "electron-motion": _Command("t", False, 1.0, None, {
+        "integrator": "cutoff", "force": {"type": "zero"},
+        "x0": 0.0, "v0": 0.0, "a0": 0.0}),
+    "diffusion": _Command(None, True, 0.0, False, {"classical": None, "T": 1.0}),
+    "oracle": _Command("t", True, 0.0, None, {
+        "N": 200, "omega_max": None, "n_traj": 4000,
+        "freeze_particle": False, "T": 1.0}),
 }
 
 _GRID_KEYS = ("T", "t", "omega", "Omega")
@@ -63,25 +68,21 @@ _GRID_KEYS = ("T", "t", "omega", "Omega")
 _COMMON_KEYS = {"command", "units", "dim", "seed", "tolerance", "kernel",
                 "model", "grids", "output", "out_dir", "meta"}
 
-# Extra keys each command accepts, with defaults.
-_COMMAND_OPTIONS = {
-    "susceptibility": {},
-    "causality": {},
-    "free-energy": {"allow_acausal": False},
-    "shift": {"allow_acausal": False},
-    "welton": {},
-    "electron-motion": {"integrator": "cutoff", "force": {"type": "zero"},
-                        "x0": 0.0, "v0": 0.0, "a0": 0.0},
-    "diffusion": {"classical": None, "T": 1.0},
-    "oracle": {"N": 200, "omega_max": None, "n_traj": 4000,
-               "freeze_particle": False, "T": 1.0},
-}
+# Each kernel variant's keys, sorted, and its required keys: every field of
+# its class but ``constants`` (set by ``units``); a field without a default
+# is required, except blackbody's Omega, which defaults to the model's.
+_KERNEL_KEYS = {
+    variant: (sorted(f.name for f in fields(cls) if f.name != "constants"),
+              [f.name for f in fields(cls) if f.default is MISSING
+               and f.name not in ("constants", "Omega")])
+    for variant, cls in KERNELS.items()}
 
+# Each drive type's factory in ``motion`` and its parameters, in call order.
 _FORCE_TYPES = {
-    "zero": (),
-    "constant_ramp": ("f0", "t_ramp"),
-    "sinusoid": ("f0", "omega"),
-    "gaussian_pulse": ("f0", "t0", "sigma"),
+    "zero": ("zero_force", ()),
+    "constant_ramp": ("constant_with_ramp", ("f0", "t_ramp")),
+    "sinusoid": ("sinusoid", ("f0", "omega")),
+    "gaussian_pulse": ("gaussian_pulse", ("f0", "t0", "sigma")),
 }
 
 
@@ -123,10 +124,7 @@ class RunConfig:
             return self.model().kernel()
         spec = dict(self.kernel_spec)
         spec.setdefault("mass", self.model_spec["M"])
-        try:
-            return kernel_from_json(spec, constants=self.constants)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc), key="kernel") from exc
+        return kernel_from_json(spec, constants=self.constants)
 
     def grid(self, name: str) -> np.ndarray:
         if name not in self.grids:
@@ -210,12 +208,9 @@ def _expand_grid(value, key: str) -> list:
     return [float(p) for p in pts]
 
 
-def _normalize_model(value, command: str) -> dict:
-    default_K = 0.0 if command in ("diffusion", "oracle") else 1.0
+def _normalize_model(value, default_K: float) -> dict:
     spec = {"M": 1.0, "K": default_K, "Omega": "point-limit"}
-    if value is None:
-        return spec
-    if value == "point-limit":
+    if value is None or value == "point-limit":
         return spec
     if not isinstance(value, dict):
         raise ConfigError("model must be an object or the string "
@@ -227,12 +222,9 @@ def _normalize_model(value, command: str) -> dict:
         spec["M"] = _require_number(value["M"], "model.M", positive=True)
     if "K" in value:
         spec["K"] = _require_number(value["K"], "model.K", nonneg=True)
-    if "Omega" in value:
-        if value["Omega"] == "point-limit":
-            spec["Omega"] = "point-limit"
-        else:
-            spec["Omega"] = _require_number(value["Omega"], "model.Omega",
-                                            positive=True)
+    if value.get("Omega", "point-limit") != "point-limit":
+        spec["Omega"] = _require_number(value["Omega"], "model.Omega",
+                                        positive=True)
     return spec
 
 
@@ -245,28 +237,20 @@ def _normalize_kernel(value, model_spec: dict, constants: PhysicalConstants):
     if "variant" not in value:
         raise ConfigError("kernel needs a 'variant'", key="kernel.variant")
     variant = value["variant"]
-    allowed_fields = {
-        "ohmic": {"variant", "gamma", "mass"},
-        "single_relaxation": {"variant", "gamma", "tau", "mass"},
-        "blackbody": {"variant", "Omega", "M"},
-    }
-    if variant not in allowed_fields:
-        raise ConfigError(f"unknown kernel variant '{variant}' (expected "
-                          "ohmic, single_relaxation, or blackbody)",
-                          key="kernel.variant")
+    if not isinstance(variant, str) or variant not in _KERNEL_KEYS:
+        raise ConfigError(f"unknown kernel variant '{variant}' (expected one "
+                          f"of {', '.join(_KERNEL_KEYS)})", key="kernel.variant")
+    names, required = _KERNEL_KEYS[variant]
     for sub in value:
-        if sub not in allowed_fields[variant]:
+        if sub != "variant" and sub not in names:
             raise ConfigError(f"unknown key kernel.{sub}", key=f"kernel.{sub}")
     spec = {"variant": variant}
-    for name in sorted(allowed_fields[variant] - {"variant"}):
+    for name in names:
         if name in value:
             spec[name] = _require_number(value[name], f"kernel.{name}",
                                          positive=(name in ("tau", "Omega", "M")),
                                          nonneg=(name in ("gamma", "mass")))
-    required = {"ohmic": ("gamma",), "single_relaxation": ("gamma", "tau"),
-                "blackbody": ()}
-    for name in required[variant]:
-        if name not in spec:
+        elif name in required:
             raise ConfigError(f"kernel variant '{variant}' needs '{name}'",
                               key=f"kernel.{name}")
     mass_key = "M" if variant == "blackbody" else "mass"
@@ -315,11 +299,11 @@ def _validate_force(value, key: str = "force") -> dict:
     if "type" not in value:
         raise ConfigError(f"{key} needs a 'type'", key=f"{key}.type")
     ftype = value["type"]
-    if ftype not in _FORCE_TYPES:
+    if not isinstance(ftype, str) or ftype not in _FORCE_TYPES:
         raise ConfigError(
             f"unknown {key}.type '{ftype}' (expected one of "
             f"{', '.join(sorted(_FORCE_TYPES))})", key=f"{key}.type")
-    params = _FORCE_TYPES[ftype]
+    _, params = _FORCE_TYPES[ftype]
     for sub in value:
         if sub != "type" and sub not in params:
             raise ConfigError(f"unknown key {key}.{sub}", key=f"{key}.{sub}")
@@ -341,12 +325,12 @@ def validate_config(data: dict) -> RunConfig:
     if "command" not in data:
         raise ConfigError("config needs a 'command'", key="command")
     command = data["command"]
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ConfigError(f"unknown command '{command}' (expected one of "
-                          f"{', '.join(COMMANDS)})", key="command")
+                          f"{', '.join(_COMMANDS)})", key="command")
 
-    option_defaults = _COMMAND_OPTIONS[command]
-    allowed = _COMMON_KEYS | set(option_defaults)
+    cmd = _COMMANDS[command]
+    allowed = _COMMON_KEYS | set(cmd.options)
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key {key}", key=key)
@@ -368,9 +352,9 @@ def validate_config(data: dict) -> RunConfig:
                                 positive=True)
 
     constants = PhysicalConstants.cgs() if units == "cgs" else DIMENSIONLESS
-    model_spec = _normalize_model(data.get("model"), command)
+    model_spec = _normalize_model(data.get("model"), cmd.K)
     kernel_spec = _normalize_kernel(data.get("kernel"), model_spec, constants)
-    if command in KERNEL_COMMANDS and kernel_spec is None:
+    if cmd.kernel and kernel_spec is None:
         raise ConfigError(f"command '{command}' requires a kernel",
                           key="kernel")
 
@@ -382,10 +366,9 @@ def validate_config(data: dict) -> RunConfig:
         if name not in _GRID_KEYS:
             raise ConfigError(f"unknown key grids.{name}", key=f"grids.{name}")
         grids[name] = _expand_grid(value, f"grids.{name}")
-    need = _REQUIRED_GRID[command]
-    if need is not None and need not in grids:
-        raise ConfigError(f"command '{command}' needs grids.{need}",
-                          key=f"grids.{need}")
+    if cmd.grid is not None and cmd.grid not in grids:
+        raise ConfigError(f"command '{command}' needs grids.{cmd.grid}",
+                          key=f"grids.{cmd.grid}")
 
     output = _validate_output(data.get("output"), command)
     if (command == "oracle" and "dump" in output
@@ -398,9 +381,9 @@ def validate_config(data: dict) -> RunConfig:
         raise ConfigError("out_dir must be a nonempty string", key="out_dir")
 
     options = {}
-    for name, default in option_defaults.items():
+    for name, default in cmd.options.items():
         value = data.get(name, default)
-        if name == "allow_acausal":
+        if name in ("allow_acausal", "freeze_particle"):
             if not isinstance(value, bool):
                 raise ConfigError(f"{name} must be true or false", key=name)
         elif name == "classical":
@@ -416,8 +399,7 @@ def validate_config(data: dict) -> RunConfig:
         elif name == "force":
             value = _validate_force(value)
         elif name in ("x0", "v0", "a0", "T"):
-            value = _require_number(value, name,
-                                    nonneg=(name == "T"))
+            value = _require_number(value, name, nonneg=(name == "T"))
         elif name == "N":
             if isinstance(value, bool) or not isinstance(value, int) or value < 2:
                 raise ConfigError("N must be an integer >= 2: the bath needs "
@@ -431,9 +413,6 @@ def validate_config(data: dict) -> RunConfig:
         elif name == "omega_max":
             if value is not None:
                 value = _require_number(value, name, positive=True)
-        elif name == "freeze_particle":
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false", key=name)
         options[name] = value
 
     if (command == "oracle" and options["freeze_particle"]
@@ -443,12 +422,10 @@ def validate_config(data: dict) -> RunConfig:
     if command == "oracle" and seed is None:
         raise ConfigError("command 'oracle' is stochastic and needs a seed",
                           key="seed")
-    if command == "diffusion" and model_spec["K"] != 0.0:
-        raise ConfigError("command 'diffusion' needs a free particle "
-                          "(model.K = 0)", key="model.K")
-    if command in ("shift", "free-energy") and model_spec["K"] <= 0.0:
-        raise ConfigError(f"command '{command}' needs a bound oscillator "
-                          "(model.K > 0)", key="model.K")
+    if cmd.bound is not None and (model_spec["K"] > 0.0) != cmd.bound:
+        raise ConfigError(f"command '{command}' needs " + (
+            "a bound oscillator (model.K > 0)" if cmd.bound
+            else "a free particle (model.K = 0)"), key="model.K")
 
     cfg = RunConfig(command=command, units=units, dim=dim, seed=seed,
                     tolerance=tolerance, kernel_spec=kernel_spec,

@@ -28,10 +28,11 @@ the digamma function from Binet's (``thermo._binet``) and the last sum in
 cot form, written about the integer nearest x so that a rate on a Matsubara
 frequency costs no digits; for |x| <= 1/4, W is a zeta series times x^2.
 Only the e^{-n s} series is summed term by term, to e^{-40}.  Points at T = 0,
-at nu_1 t < 0.1 (where that series is long), of a quantum point-limit
-particle, or of two decay rates closer than 5% (where partial fractions
-lose eps over the squared separation) take the adaptive quadrature of
-``_quad`` instead, with kT t^2 (-c2) added for alpha's double pole.
+at nu_1 t < 0.1 (where that series is long), or of two decay rates closer
+than 5% (where partial fractions lose eps over the squared separation) take
+the adaptive quadrature of ``_quad`` instead, with kT t^2 (-c2) added for
+alpha's double pole.  At bare mass 0 Im alpha falls only as 1/omega, so the
+quantum msd diverges logarithmically in the cutoff: it raises ValueError.
 
 The long-time tail of a curve is fitted to A t^p; p = 1 identifies normal
 (Einstein) diffusion with D = A/2, anything else is reported as anomalous
@@ -292,8 +293,12 @@ def _msd_values(kernel: MemoryKernel, model: ParticleModel, T: float, times,
     kT = k.k_B * T
     poles = _pole_data(kernel, model)
     _, r, c2, g0 = poles
+    if g0 and not use_classical:  # Im alpha ~ g0/omega at large omega
+        raise ValueError("the quantum msd is undefined at bare mass 0 (point "
+                         "limit), where it diverges logarithmically in the "
+                         "cutoff; use classical: true or Omega < 1/tau_e")
     closed = times > 0.0
-    if T == 0.0 or r is None or (not use_classical and g0):
+    if T == 0.0 or r is None:
         closed[:] = False
     elif not use_classical:
         closed &= 2.0 * math.pi * kT * times / k.hbar >= _MIN_MATSUBARA_PHASE

@@ -16,7 +16,7 @@ with no small imaginary offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,7 +78,8 @@ def _check_upper_half(z):
 class RationalKernel:
     """mu(z) = (a0 + a1 z)/(b0 + b1 z), with ``coefficients`` = (a0, a1, b0, b1).
 
-    Subclasses state the coefficients.  Degree one over degree one covers
+    Subclasses state the coefficients and a ``variant`` name, the key of
+    ``KERNELS`` and of the JSON form.  Degree one over degree one covers
     every kernel; a decoupled kernel (gamma = 0 or zero charge) has a0 = a1 = 0.
     """
 
@@ -96,6 +97,12 @@ class RationalKernel:
         den = b0 + b1 * omega
         out = ((a0 + a1 * omega) * np.conj(den)).real / (den.real ** 2 + den.imag ** 2)
         return float(out) if out.ndim == 0 else out
+
+    def to_json(self) -> dict:
+        """JSON form: the variant and every field but ``constants``."""
+        return {"variant": self.variant,
+                **{f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "constants"}}
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,6 @@ class OhmicKernel(RationalKernel):
         """Characteristic frequency of the kernel (used for panel splitting)."""
         return self.gamma if self.gamma > 0 else 1.0
 
-    def to_json(self) -> dict:
-        return {"variant": "ohmic", "gamma": self.gamma, "mass": self.mass}
-
 
 @dataclass(frozen=True)
 class SingleRelaxationKernel(RationalKernel):
@@ -159,14 +163,6 @@ class SingleRelaxationKernel(RationalKernel):
     @property
     def scale(self) -> float:
         return max(self.gamma, 1.0 / self.tau) if self.gamma > 0 else 1.0 / self.tau
-
-    def to_json(self) -> dict:
-        return {
-            "variant": "single_relaxation",
-            "gamma": self.gamma,
-            "tau": self.tau,
-            "mass": self.mass,
-        }
 
 
 @dataclass(frozen=True)
@@ -205,11 +201,11 @@ class BlackbodyKernel(RationalKernel):
     def scale(self) -> float:
         return self.Omega
 
-    def to_json(self) -> dict:
-        return {"variant": "blackbody", "Omega": self.Omega, "M": self.M}
-
 
 MemoryKernel = OhmicKernel | SingleRelaxationKernel | BlackbodyKernel
+
+KERNELS = {cls.variant: cls
+           for cls in (OhmicKernel, SingleRelaxationKernel, BlackbodyKernel)}
 
 
 def kernel_from_json(spec: dict, constants: PhysicalConstants | None = None) -> MemoryKernel:
@@ -220,22 +216,13 @@ def kernel_from_json(spec: dict, constants: PhysicalConstants | None = None) -> 
     if not isinstance(spec, dict):
         raise ConfigError("kernel must be a JSON object", key="kernel")
     variant = spec.get("variant")
-    known = {"ohmic", "single_relaxation", "blackbody"}
-    if variant not in known:
-        raise ConfigError(
-            f"unknown kernel variant {variant!r}, expected one of {sorted(known)}",
-            key="variant",
-        )
-    fields = {k: v for k, v in spec.items() if k != "variant"}
+    cls = KERNELS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown kernel variant {variant!r}, expected one "
+                          f"of {sorted(KERNELS)}", key="variant")
+    params = {k: v for k, v in spec.items() if k != "variant"}
+    extra = {"constants": constants or DIMENSIONLESS} if cls is BlackbodyKernel else {}
     try:
-        if variant == "ohmic":
-            return OhmicKernel(**fields)
-        if variant == "single_relaxation":
-            return SingleRelaxationKernel(**fields)
-        if constants is None:
-            constants = DIMENSIONLESS
-        return BlackbodyKernel(constants=constants, **fields)
-    except TypeError as exc:
-        raise ConfigError(f"bad kernel parameters for {variant!r}: {exc}", key="kernel")
-    except ValueError as exc:
+        return cls(**params, **extra)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad kernel parameters for {variant!r}: {exc}", key="kernel")

@@ -80,9 +80,6 @@ class ParticleModel:
         """The blackbody kernel matching this particle's cutoff and mass."""
         return BlackbodyKernel(Omega=self.Omega, constants=self.constants, M=self.M)
 
-    def to_json(self) -> dict:
-        return {"M": self.M, "K": self.K, "Omega": self.Omega}
-
 
 def bare_mass(M: float, Omega: float,
               constants: PhysicalConstants = DIMENSIONLESS) -> float:

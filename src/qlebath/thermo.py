@@ -21,7 +21,7 @@ sign to, the true 3D energy shift obtained by differentiating F0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,8 +268,6 @@ class FreeEnergyCurve:
     values: np.ndarray
     baseline: np.ndarray | None = None
     errors: np.ndarray | None = None
-    kernel_meta: dict = field(default_factory=dict)
-    model_meta: dict = field(default_factory=dict)
     raw_shift: np.ndarray | None = None
 
     def __post_init__(self):
@@ -317,9 +315,7 @@ def free_energy_curve(kernel: MemoryKernel, model: ParticleModel,
     shifts = vals if use_shift_route else None
     return FreeEnergyCurve(
         temperatures=temps, values=base + vals if use_shift_route else vals,
-        baseline=base, errors=errs, kernel_meta=kernel.to_json(),
-        model_meta=model.to_json(), raw_shift=shifts,
-    )
+        baseline=base, errors=errs, raw_shift=shifts)
 
 
 def thermo_derivatives(curve: FreeEnergyCurve, rtol: float = 1e-3) -> dict:

@@ -1,6 +1,7 @@
 """Mean-square displacement against the exact memoryless answer and a
 50-digit Matsubara reference."""
 
+import json
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ from qlebath import (
     OhmicKernel,
     ParticleModel,
     SingleRelaxationKernel,
+    cli,
     diffusion,
     msd,
     msd_curve,
@@ -115,6 +117,32 @@ def test_acausal_radiation_bath_rejected():
     model = ParticleModel(M=1.0, K=0.0, Omega=300.0)  # above the causal cutoff
     with pytest.raises(AcausalModelError):
         msd(model.kernel(), model, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("T", [1.0, 0.0])
+def test_quantum_point_limit_msd_is_rejected_before_any_work(monkeypatch, T):
+    # bare mass 0: Im alpha falls only as 1/omega, so the symmetrized msd
+    # diverges logarithmically in the cutoff
+    calls = count_quad_calls(monkeypatch)
+    model = ParticleModel.point_limit(1.0, 0.0)
+    with pytest.raises(ValueError, match="undefined at bare mass 0"):
+        msd(model.kernel(), model, T, 1.0, classical=False)
+    with pytest.raises(ValueError, match="classical: true or Omega < 1/tau_e"):
+        msd_curve(model.kernel(), model, T)
+    assert calls == []
+
+
+def test_quantum_point_limit_diffusion_run_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"command": "diffusion",
+                                "kernel": {"variant": "blackbody"},
+                                "model": {"M": 1, "K": 0}, "T": 1}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: the quantum msd is undefined")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bound_particle_rejected():
