@@ -66,11 +66,6 @@ def _write_artifacts(cfg: RunConfig, header, columns, meta: dict) -> None:
     _atomic_write_text(json_path, sidecar_text)
 
 
-def _dim_factor(cfg: RunConfig) -> float:
-    """Multiplier applied to one-dimensional quantities (3 in 3D)."""
-    return 3.0 if cfg.dim == 3 else 1.0
-
-
 def _run_susceptibility(cfg: RunConfig) -> dict:
     omega = cfg.grid("omega")
     alpha = susceptibility(cfg.kernel(), cfg.model(), omega + 0j)
@@ -81,8 +76,7 @@ def _run_susceptibility(cfg: RunConfig) -> dict:
 
 
 def _run_causality(cfg: RunConfig) -> dict:
-    kernel, model = cfg.kernel(), cfg.model()
-    report = poles_and_causality(kernel, model)
+    report = poles_and_causality(cfg.kernel(), cfg.model())
     poles = np.array(report.poles, dtype=complex)
     _write_artifacts(cfg, ("re_pole", "im_pole"), (poles.real, poles.imag),
                      {"result": report.to_json()})
@@ -96,7 +90,7 @@ def _run_thermo(cfg: RunConfig, use_shift_route: bool) -> dict:
         allow_acausal=cfg.options.get("allow_acausal", False),
         use_shift_route=use_shift_route)
     temps, shifts, errors = curve.temperatures, curve.shift, curve.errors
-    factor = _dim_factor(cfg)
+    factor = float(cfg.dim)  # per-direction quantities times 1 or 3
 
     result = {"max_quad_error": float(np.max(errors))}
     try:
@@ -126,7 +120,7 @@ def _run_thermo(cfg: RunConfig, use_shift_route: bool) -> dict:
 def _run_welton(cfg: RunConfig) -> dict:
     model = cfg.model()
     k = cfg.constants
-    factor = _dim_factor(cfg) / 3.0   # the stored integrand is the 3D form
+    factor = cfg.dim / 3.0   # the stored integrand is the 3D form
     temps = cfg.grid("T")
     values, errors = np.array([thermo.welton_energy(T, model.M, k,
                                                     rtol=cfg.tolerance)
@@ -146,21 +140,17 @@ def _run_electron_motion(cfg: RunConfig) -> dict:
     factory, params = _FORCE_TYPES[force["type"]]
     # looked up on motion at each run, where a tracer may have wrapped it
     sig = getattr(motion, factory)(*(force[p] for p in params))
-    x0 = cfg.options["x0"]
-    v0 = cfg.options["v0"]
-    a0 = cfg.options["a0"]
-    integrator = cfg.options["integrator"]
+    opts = cfg.options
+    start = {"x0": opts["x0"], "v0": opts["v0"], "rtol": cfg.tolerance}
+    integrator = opts["integrator"]
     if integrator == "point-limit":
-        traj = motion.integrate_point_limit(sig, model, t_grid, x0=x0, v0=v0,
-                                            rtol=cfg.tolerance)
+        traj = motion.integrate_point_limit(sig, model, t_grid, **start)
     elif integrator == "bounded-al":
-        traj = motion.bounded_al_trajectory(sig, model, t_grid, x0=x0, v0=v0,
-                                            rtol=cfg.tolerance)
+        traj = motion.bounded_al_trajectory(sig, model, t_grid, **start)
     else:
         variant = "cutoff" if integrator == "cutoff" else "abraham_lorentz"
-        traj = motion.integrate_third_order(sig, model, t_grid, x0=x0, v0=v0,
-                                            a0=a0, variant=variant,
-                                            rtol=cfg.tolerance)
+        traj = motion.integrate_third_order(sig, model, t_grid, a0=opts["a0"],
+                                            variant=variant, **start)
     _write_artifacts(cfg, ("t", "x", "v", "a"),
                      (traj.times, traj.x, traj.v, traj.a),
                      {"result": traj.summary_json()})
@@ -169,11 +159,9 @@ def _run_electron_motion(cfg: RunConfig) -> dict:
 
 def _run_diffusion(cfg: RunConfig) -> dict:
     kernel, model = cfg.kernel(), cfg.model()
-    T = cfg.options["T"]
-    classical = cfg.options["classical"]
-    times = cfg.grid("t") if "t" in cfg.grids else None
-    curve = diffusion.msd_curve(kernel, model, T, times, classical=classical,
-                                rtol=cfg.tolerance)
+    opts = cfg.options  # grids.t is optional: msd_curve has a default grid
+    curve = diffusion.msd_curve(kernel, model, opts["T"], cfg.grids.get("t"),
+                                classical=opts["classical"], rtol=cfg.tolerance)
     tags = diffusion.regime_tag(curve)
     report = diffusion.report_from_curve(curve)
     _write_artifacts(cfg, ("t", "msd", "regime_tag"),

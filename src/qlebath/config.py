@@ -15,16 +15,16 @@ A config file is a single JSON object.  Keys common to every command:
                model is "point-limit"), and each must match the model's
     model      {"M", "K", "Omega"} with "Omega" a number or "point-limit";
                the whole value may also be the string "point-limit"
-    grids      {"T": ..., "t": ..., "omega": ...}; each grid is a list of
-               numbers or {"start", "stop", "num", "spacing": "linear"|"log"}
+    grids      the command's grids, of "T", "t" and "omega"; each grid is a list
+               of numbers or {"start", "stop", "num", "spacing": "linear"|"log"}
     output     {"csv": name, "json": name, "dump": name} -- file names
                relative to the output directory (no path escapes)
     out_dir    output directory (default "."), overridden by --out
     meta       ignored on load, so emitted sidecars reload as valid configs
 
-Each command's required grid, kernel, default model.K and extra keys are
-one entry of ``_COMMANDS``.  Unknown keys are rejected with the dotted path
-of the offending key.
+Each command's grids, kernel, default model.K and extra keys are one entry
+of ``_COMMANDS``.  Unknown keys, and grids the command does not read, are
+rejected with the dotted path of the offending key.
 """
 
 from __future__ import annotations
@@ -43,27 +43,26 @@ from .errors import ConfigError, GridError
 from .kernels import DIMENSIONLESS, KERNELS, PhysicalConstants, kernel_from_json
 from .response import ParticleModel
 
-# Per command: the grid it requires (None: none), whether it builds a kernel
+# Per command: the grids it reads (True: required), whether it builds a kernel
 # from config["kernel"], the default model.K, its K rule (True: model.K > 0,
 # False: model.K = 0, None: any) and the extra keys it accepts, with defaults.
-_Command = namedtuple("_Command", "grid kernel K bound options")
+_Command = namedtuple("_Command", "grids kernel K bound options")
 
 _COMMANDS = {
-    "susceptibility": _Command("omega", True, 1.0, None, {}),
-    "causality": _Command(None, True, 1.0, None, {}),
-    "free-energy": _Command("T", True, 1.0, True, {"allow_acausal": False}),
-    "shift": _Command("T", True, 1.0, True, {"allow_acausal": False}),
-    "welton": _Command("T", False, 1.0, None, {}),
-    "electron-motion": _Command("t", False, 1.0, None, {
+    "susceptibility": _Command({"omega": True}, True, 1.0, None, {}),
+    "causality": _Command({}, True, 1.0, None, {}),
+    "free-energy": _Command({"T": True}, True, 1.0, True, {"allow_acausal": False}),
+    "shift": _Command({"T": True}, True, 1.0, True, {"allow_acausal": False}),
+    "welton": _Command({"T": True}, False, 1.0, None, {}),
+    "electron-motion": _Command({"t": True}, False, 1.0, None, {
         "integrator": "cutoff", "force": {"type": "zero"},
         "x0": 0.0, "v0": 0.0, "a0": 0.0}),
-    "diffusion": _Command(None, True, 0.0, False, {"classical": None, "T": 1.0}),
-    "oracle": _Command("t", True, 0.0, None, {
+    "diffusion": _Command({"t": False}, True, 0.0, False,
+                          {"classical": None, "T": 1.0}),
+    "oracle": _Command({"t": True}, True, 0.0, None, {
         "N": 200, "omega_max": None, "n_traj": 4000,
         "freeze_particle": False, "T": 1.0}),
 }
-
-_GRID_KEYS = ("T", "t", "omega", "Omega")
 
 _COMMON_KEYS = {"command", "units", "dim", "seed", "tolerance", "kernel",
                 "model", "grids", "output", "out_dir", "meta"}
@@ -363,12 +362,15 @@ def validate_config(data: dict) -> RunConfig:
         raise ConfigError("grids must be an object", key="grids")
     grids = {}
     for name, value in grids_in.items():
-        if name not in _GRID_KEYS:
-            raise ConfigError(f"unknown key grids.{name}", key=f"grids.{name}")
+        if name not in cmd.grids:
+            raise ConfigError(f"unknown key grids.{name}: command '{command}' "
+                              f"reads {', '.join(cmd.grids) or 'no grid'}",
+                              key=f"grids.{name}")
         grids[name] = _expand_grid(value, f"grids.{name}")
-    if cmd.grid is not None and cmd.grid not in grids:
-        raise ConfigError(f"command '{command}' needs grids.{cmd.grid}",
-                          key=f"grids.{cmd.grid}")
+    for name, required in cmd.grids.items():
+        if required and name not in grids:
+            raise ConfigError(f"command '{command}' needs grids.{name}",
+                              key=f"grids.{name}")
 
     output = _validate_output(data.get("output"), command)
     if (command == "oracle" and "dump" in output

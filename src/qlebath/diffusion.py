@@ -8,8 +8,9 @@ fluctuation-dissipation relation,
 
 with the classical weight coth -> 2kT/(hbar omega) taken automatically deep
 in the classical regime.  It closes by residues at the poles z_k = -i lam_k
-of alpha (``response.decay_rates``), with r_k = 1/D'(z_k), and at z = 0,
-where alpha = c2/z^2 + ... when mu(0) = 0 (the blackbody kernel; c2 = -1/M).
+of alpha, r_k = 1/D'(z_k), and at z = 0, where alpha = c2/z^2 + ... when
+mu(0) = 0 (the blackbody kernel; c2 = -1/M); lam_k, r_k and c2 come from
+``response.spectrum``, which keeps the cutoff pole's residue to rounding.
 The classical weight gives 2kT times the integral of the impulse response,
 
     msd_cl(t) = 2kT t^2 [Re(i sum_k r_k lam_k phi2(-lam_k t)) - c2/2],
@@ -50,8 +51,7 @@ from ._grid import check_time_grid
 from ._quad import quad
 from .errors import AcausalModelError, FitError, GridError
 from .kernels import MemoryKernel
-from .response import (
-    ParticleModel, decay_rates, denominator_closure, mass_for_kernel)
+from .response import ParticleModel, denominator_closure, spectrum
 from .thermo import _binet
 
 # The (1 - cos omega t) factor is integrated period by period out to
@@ -122,30 +122,6 @@ def _phi2(z):
                     (np.expm1(far) - far) / (far * far))
 
 
-def _psi(y):
-    """Digamma function for Re y > 0 from Binet's B'(y) = psi(y) - ln y + 1/(2y)."""
-    return _binet(y)[1] + np.log(y) - 0.5 / y
-
-
-def _pole_data(kernel: MemoryKernel, model: ParticleModel):
-    """(lam_k, r_k = 1/D'(z_k) or None, c2, g0) of the free particle.
-
-    c2 = lim z^2 alpha(z) is alpha's double pole at z = 0 (mu(0) = 0 only);
-    g0 = G(0+) = -i lim z alpha(z), z -> infinity, the impulse response's jump,
-    nonzero only at bare mass 0.  r is None when two rates are closer than
-    ``_MIN_POLE_SEPARATION`` of the larger.
-    """
-    m = mass_for_kernel(kernel, model)
-    a0, a1, b0, b1 = kernel.coefficients
-    lam = np.array(decay_rates(kernel, model), dtype=complex)
-    c2 = 0.0 if a0 else (1.0 / (-1j * a1 / b0 - m)).real
-    g0 = 0.0 if m else (b1 / a1).real
-    close = lam.size == 2 and (abs(lam[0] - lam[1])
-                               < _MIN_POLE_SEPARATION * np.abs(lam).max())
-    r = None if close else 1.0 / denominator_closure(kernel, model)(-1j * lam)[1]
-    return lam, r, c2, g0
-
-
 def _matsubara_w(x, s):
     """W(x_k, s_i) as an (s, x) array and the number of terms summed.
 
@@ -156,7 +132,8 @@ def _matsubara_w(x, s):
     n = np.arange(1.0, n_i.max() + 1.0)[:, None]
     n0 = np.maximum(np.rint(x.real), 0.0)
     d = x - n0
-    p = _psi(np.concatenate([1.0 + x, 1.0 - d, 1.0 + d]))
+    y = np.concatenate([1.0 + x, 1.0 - d, 1.0 + d])
+    p = _binet(y)[1] + np.log(y) - 0.5 / y  # psi(y), from Binet's B'(y)
     k = x.size
     # H(x) = psi(1 + x) + gamma_E = sum_n x/(n (n + x)); g(d) = pi cot(pi d)
     # - 1/d, so that the cot sum without its n0 term is (1/x + 1/(n0 + x)
@@ -190,12 +167,12 @@ def _matsubara_w(x, s):
     return np.where(np.abs(x) <= 0.25, zeta, general), int(n_i.max())
 
 
-def _closed_form(poles, kT: float, hbar: float, times, quantum: bool):
-    """msd at times > 0 from the poles, and the Matsubara terms summed."""
-    lam, r, c2, g0 = poles
+def _closed_form(spec, kT: float, hbar: float, times, quantum: bool):
+    """msd at times > 0 from the ``Spectrum``, and the Matsubara terms summed."""
+    lam, r = (np.array(v, dtype=complex) for v in (spec.rates, spec.residues))
     t = times[:, None]
-    values = 2.0 * kT * (g0 * times + times * times * (
-        (1j * r * lam * _phi2(-lam * t)).sum(axis=1).real - 0.5 * c2))
+    values = 2.0 * kT * (spec.g0 * times + times * times * (
+        (1j * r * lam * _phi2(-lam * t)).sum(axis=1).real - 0.5 * spec.c2))
     if not quantum or lam.size == 0:  # no pole: no quantum correction
         return values, 0
     nu1 = 2.0 * math.pi * kT / hbar
@@ -284,33 +261,34 @@ def _msd_values(kernel: MemoryKernel, model: ParticleModel, T: float, times,
         raise ValueError("msd requires a free particle (model.K == 0)")
     if not (T >= 0.0 and math.isfinite(T)):
         raise ValueError("temperature must be >= 0 and finite")
-    if mass_for_kernel(kernel, model) < 0:
+    spec = spectrum(kernel, model)
+    if spec.m < 0:
         raise AcausalModelError(
             "mean-square displacement is undefined for an acausal model "
             f"(Omega = {model.Omega:.6g} > 1/tau_e = {1.0 / model.tau_e:.6g})")
     use_classical = _resolve_classical(kernel, model, T, classical)
     k = model.constants
     kT = k.k_B * T
-    poles = _pole_data(kernel, model)
-    _, r, c2, g0 = poles
-    if g0 and not use_classical:  # Im alpha ~ g0/omega at large omega
+    if spec.g0 and not use_classical:  # Im alpha ~ g0/omega at large omega
         raise ValueError("the quantum msd is undefined at bare mass 0 (point "
                          "limit), where it diverges logarithmically in the "
                          "cutoff; use classical: true or Omega < 1/tau_e")
     closed = times > 0.0
-    if T == 0.0 or r is None:
+    lam = spec.rates  # two rates within 5%: partial fractions lose digits
+    if T == 0.0 or len(lam) == 2 and abs(lam[0] - lam[1]) < (
+            _MIN_POLE_SEPARATION * max(map(abs, lam))):
         closed[:] = False
     elif not use_classical:
         closed &= 2.0 * math.pi * kT * times / k.hbar >= _MIN_MATSUBARA_PHASE
     values, n_terms = np.zeros(times.shape), 0
     if closed.any():
-        values[closed], n_terms = _closed_form(poles, kT, k.hbar, times[closed],
+        values[closed], n_terms = _closed_form(spec, kT, k.hbar, times[closed],
                                                not use_classical)
     fallback = np.flatnonzero(~closed & (times > 0.0))
     for i in fallback:  # alpha's double pole at 0 is not on the real axis
         t = float(times[i])
         values[i] = (_quadrature(kernel, model, T, t, use_classical, rtol)
-                     - kT * c2 * t * t)
+                     - kT * spec.c2 * t * t)
     return values, {"route": {"poles": int(times.size - fallback.size),
                               "quadrature": int(fallback.size)},
                     "matsubara_terms": n_terms}

@@ -17,7 +17,7 @@ class QuadratureError(QlebathError):
 
 
 class PoleEvaluationError(QlebathError):
-    """Response function evaluated too close to a pole, or root residuals failed."""
+    """Response function evaluated within rounding of a pole."""
 
 
 class AcausalModelError(QlebathError):

@@ -5,7 +5,8 @@ The position response to an external force is alpha(z) = 1/D(z) with
     D(z) = -m z^2 - i z mu(z) + K,    mu(z) = (a0 + a1 z)/(b0 + b1 z).
 
 D, D' and the pole polynomial are written once, from the kernel's four
-``coefficients`` and (m, K).  Here m is the mass multiplying the second
+``coefficients`` and (m, K); ``spectrum`` gives the poles, their residues
+and lam_b once for every reader.  Here m is the mass multiplying the second
 derivative, and ``mass_for_kernel`` is the one place that tells kernels
 apart.  For the blackbody kernel m is the *bare* mass M (1 - tau_e Omega) —
 the radiation field carries the rest of the observed inertia — while
@@ -23,12 +24,15 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AcausalCutoffWarning, PoleEvaluationError
-from .kernels import DIMENSIONLESS, BlackbodyKernel, MemoryKernel, PhysicalConstants
+from .kernels import (
+    DIMENSIONLESS, BlackbodyKernel, MemoryKernel, PhysicalConstants,
+    _check_upper_half)
 
 
 @dataclass(frozen=True)
@@ -134,24 +138,18 @@ def denominator_closure(kernel: MemoryKernel, model: ParticleModel):
 
 
 def susceptibility(kernel: MemoryKernel, model: ParticleModel, z):
-    """alpha(z) = 1/D(z) for Im z >= 0.
-
-    Raises PoleEvaluationError, naming the first such z, when |D| underflows
-    relative to its terms, i.e. z sits numerically on a pole.
+    """alpha(z) = 1/D(z) for finite z with Im z >= 0 (else ValueError), 0
+    where |D| overflows.  Raises PoleEvaluationError, naming the first such
+    z, when D = 0 or |D| < 1e-14 |z D'|: z within ~1e-14 |z| of a pole.
     """
-    m = mass_for_kernel(kernel, model)
-    K = model.K
-    z = np.asarray(z, dtype=complex)
-    t_mass = m * z ** 2
-    t_fric = 1j * z * kernel.mu_tilde(z)
-    d = -t_mass - t_fric + K
-    magnitude = np.maximum(np.abs(t_mass) + np.abs(t_fric) + abs(K), 1e-300)
-    bad = np.abs(d) < 1e-14 * magnitude
+    z = _check_upper_half(z)
+    with np.errstate(over="ignore"):
+        D, Dp = denominator_closure(kernel, model)(z)
+        bad = (D == 0) | (np.abs(D) < 1e-14 * np.abs(z * Dp))
     if np.any(bad):
-        raise PoleEvaluationError(
-            "susceptibility evaluated at (or numerically at) a pole: "
-            f"z = {complex(z[bad][0])}")
-    val = 1.0 / d
+        raise PoleEvaluationError("susceptibility evaluated on a pole (to "
+                                  f"rounding): z = {complex(z[bad][0])}")
+    val = 1.0 / D
     return complex(val) if val.ndim == 0 else val
 
 
@@ -291,6 +289,42 @@ def decay_rates(kernel: MemoryKernel, model: ParticleModel) -> list:
             lam = lam - (step if isinstance(lam, complex) else step.real)
         out.append(lam)
     return outer + out
+
+
+Spectrum = namedtuple("Spectrum", "rates residues lam_b m c2 g0")
+
+
+def spectrum(kernel: MemoryKernel, model: ParticleModel) -> Spectrum:
+    """The pole data thermo and diffusion read: rates lam_k of the poles
+    z_k = -i lam_k (``decay_rates``), residues r_k = 1/D'(z_k), the zero lam_b
+    of b0 - i b1 lam (None for Ohmic), D's mass m and, for a free particle,
+    c2 = lim z^2 alpha(z) (mu(0) = 0 only) and the impulse response's jump
+    g0 = -i lim z alpha(z), z -> infinity (bare mass 0 only).  The rate
+    polynomial Q(lam) = u D(-i lam) B(-i lam), B = b0 + b1 z, u = b0*/|b0|,
+    gives D'(z_k) = i Q'(lam_k)/(u B(z_k)); within lam_b/2 of lam_b (the
+    blackbody cutoff pole is ~tau_e Omega from it) B(z_k) cancels, so there
+    B = lam (a0 - i a1 lam)/(m lam^2 + K) from D(z_k) = 0.  A decoupled
+    kernel clears no B.  Equal rates give infinite residues.
+    """
+    m = mass_for_kernel(kernel, model)
+    a0, a1, b0, b1 = kernel.coefficients
+    lam_b = (b0 / (1j * b1)).real if b1 else None
+    unit = complex(b0).conjugate() / abs(b0)
+    q = _rate_polynomial(kernel, model)
+    rates = tuple(decay_rates(kernel, model))
+    residues = []
+    for lam in rates:
+        if a0 == 0 and a1 == 0:
+            uB = 1.0
+        elif lam_b is not None and abs(lam - lam_b) < 0.5 * lam_b:
+            uB = unit * lam * (a0 - 1j * a1 * lam) / (m * lam * lam + model.K)
+        else:
+            uB = unit * (b0 - 1j * b1 * lam)
+        slope = _horner(q, lam)[1]
+        residues.append(-1j * uB / slope if slope else complex(math.inf))
+    return Spectrum(rates, tuple(residues), lam_b, m,
+                    0.0 if a0 or model.K else (1.0 / (-1j * a1 / b0 - m)).real,
+                    0.0 if m else (b1 / a1).real)
 
 
 def poles_and_causality(kernel: MemoryKernel, model: ParticleModel,

@@ -2,7 +2,7 @@
 
 The free energy is the phase-rate integral (1/pi) int_0^inf kT log(1 -
 e^{-hbar omega/kT}) Im{d log alpha/d omega} domega.  With z_k = -i lam_k the
-poles of alpha (``response.decay_rates``), lam_b the zero of the kernel's
+poles of alpha (``response.spectrum``), lam_b the zero of the kernel's
 denominator (Omega for blackbody, 1/tau for single relaxation, none for
 Ohmic friction) and nu = 2 pi kT/hbar it is, in closed form,
 
@@ -30,8 +30,7 @@ from .errors import AcausalModelError, GridError
 from .kernels import DIMENSIONLESS, MemoryKernel, PhysicalConstants
 # denominator_closure stays importable here: perfbench/spans.py counts the
 # D(z) evaluations of this module by patching it
-from .response import (  # noqa: F401
-    ParticleModel, decay_rates, denominator_closure, mass_for_kernel)
+from .response import ParticleModel, denominator_closure, spectrum  # noqa: F401
 
 # exp(-x) underflows to exactly 0.0 beyond ~745, so every thermal weight used
 # here is *exactly* zero past these cuts; integrating further is pure noise.
@@ -154,16 +153,15 @@ def _closed_form(kernel: MemoryKernel, model: ParticleModel, temps,
         raise ValueError("T must be >= 0")
     if shift and model.K <= 0:
         raise ValueError("shift baseline needs K > 0 (an oscillation frequency)")
-    m = mass_for_kernel(kernel, model)
-    if m < 0 and not allow_acausal:
+    spec = spectrum(kernel, model)
+    if spec.m < 0 and not allow_acausal:
         raise AcausalModelError(
             f"cutoff Omega = {model.Omega:.6g} > 1/tau_e = {1.0 / model.tau_e:.6g} "
             "puts a runaway pole in the upper half plane; pass allow_acausal=True "
             "to evaluate the real-axis formulas anyway")
     values, errors = np.zeros(temps.shape), np.zeros(temps.shape)
-    a0, a1, b0, b1 = kernel.coefficients
     hot = temps > 0
-    if a0 == 0 and a1 == 0:  # decoupled: the oscillator itself, exactly
+    if not any(kernel.coefficients[:2]):  # a0 = a1 = 0: the oscillator itself
         if model.K > 0 and not shift:
             values[:] = [oscillator_free_energy(model.omega_0, T, model.constants)
                          for T in temps]
@@ -172,10 +170,10 @@ def _closed_form(kernel: MemoryKernel, model: ParticleModel, temps,
         return values, errors
     kT = model.constants.k_B * temps[hot, None]
     nu = 2.0 * math.pi * kT / model.constants.hbar
-    lam = np.array(decay_rates(kernel, model), dtype=complex)
+    lam = np.array(spec.rates, dtype=complex)
     lam = lam[np.argsort(lam.imag, kind="stable")]
     sign = np.where(lam.real < 0.0, -1.0, 1.0)
-    lam_b = np.array([(b0 / (1j * b1)).real] if b1 else [])
+    lam_b = np.array([] if spec.lam_b is None else [spec.lam_b])
     ref = np.zeros(0)
     if shift:
         w0 = 1j * model.omega_0
@@ -192,7 +190,7 @@ def _closed_form(kernel: MemoryKernel, model: ParticleModel, temps,
     Bp_x, Bp_n, sBp_n = Bp[:, :i], Bp[:, j + lam_b.size:], sBp[:, j + lam_b.size:]
     terms = sign * B_x
     pole = (np.abs(x.real * Bp_x.real) + np.abs(x.imag * Bp_x.imag)) \
-        * max(1.0, -m / model.M)
+        * max(1.0, -spec.m / model.M)
     if shift:
         near = (sign > 0.0) & (np.abs(d) <= np.abs(x0) / 8.0)
         terms = np.where(near, d * (Bp_n.reshape(nodes.shape) @ _GL_W),

@@ -1,11 +1,14 @@
 """End-to-end command-line runs: artifacts, formats, exit codes, determinism."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -504,3 +507,52 @@ def test_diffusion_sidecar_states_the_route_of_its_points(tmp_path):
     assert sidecar["meta"]["diagnostics"] == {
         "route": {"poles": 5, "quadrature": 1}, "matsubara_terms": 128}
     assert validate_config(sidecar).command == "diffusion"
+
+
+def test_a_grid_the_command_does_not_read_is_a_config_error(tmp_path, capsys):
+    data = dict(SMOKE_CASES["causality"][0], grids={"Omega": [1, 2, 3]})
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: unknown key grids.Omega")
+    assert not out.exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```",
+                      (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+
+
+@pytest.mark.parametrize("text", readme_blocks("json"),
+                         ids=lambda text: json.loads(text)["command"])
+def test_readme_config_examples_run(tmp_path, text):
+    data = json.loads(text)
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0
+    if data["command"] == "causality":  # "a cutoff 10% above the bound"
+        sidecar = json.loads((out / "causality.json").read_text())
+        assert sidecar["meta"]["result"]["causal"] is False
+
+
+def test_readme_library_example_runs(capsys):
+    (code,) = readme_blocks("python")
+    exec(compile(code, "README.md", "exec"), {})
+    fitted, closed_form = map(float, capsys.readouterr().out.split())
+    assert fitted == pytest.approx(closed_form, rel=0.01)
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/spans.py wraps these functions by name for ``--trace 1``;
+    # a rename in the package must fail here, not only in the benchmark
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

@@ -69,6 +69,29 @@ def test_decreasing_grid_rejected():
         validate_config(minimal(grids={"T": [2.0, 1.0]}))
 
 
+@pytest.mark.parametrize("command, grids, unread", [
+    ("causality", {"Omega": [1.0, 2.0, 3.0]}, "Omega"),
+    ("welton", {"T": [1.0], "t": [1.0]}, "t"),
+    ("susceptibility", {"omega": [1.0], "T": [1.0]}, "T"),
+    ("diffusion", {"T": [1.0]}, "T"),
+    ("electron-motion", {"t": [0.0, 1.0], "omega": [1.0]}, "omega"),
+])
+def test_a_grid_the_command_does_not_read_is_rejected(command, grids, unread):
+    data = {"command": command, "grids": grids}
+    if command not in ("welton", "electron-motion"):
+        data["kernel"] = {"variant": "ohmic", "gamma": 1.0}
+    with pytest.raises(ConfigError, match=f"unknown key grids.{unread}") as info:
+        validate_config(data)
+    assert info.value.key == f"grids.{unread}"
+
+
+def test_diffusion_reads_an_optional_time_grid():
+    data = {"command": "diffusion", "kernel": {"variant": "ohmic", "gamma": 1.0}}
+    assert validate_config(data).grids == {}
+    data["grids"] = {"t": [1.0, 2.0]}
+    assert validate_config(data).grids == {"t": [1.0, 2.0]}
+
+
 def test_required_grid_per_command():
     with pytest.raises(ConfigError, match=r"grids\.T"):
         validate_config({"command": "welton", "model": {"M": 1.0}})

@@ -148,6 +148,22 @@ def test_susceptibility_at_pole_raises():
         susceptibility(kernel, model, 1.0)
 
 
+def test_susceptibility_is_zero_where_the_denominator_overflows():
+    # |D| ~ gamma omega = 1e310 at omega = 1e10: alpha underflows to 0, which
+    # is neither a pole nor a reason for a RuntimeWarning
+    kernel = OhmicKernel(gamma=1e300)
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
+    alpha = susceptibility(kernel, model, np.array([0.5, 1e10]) + 0j)
+    assert alpha[0] == pytest.approx(2e-300j, rel=1e-12)
+    assert alpha[1] == 0.0
+
+
+def test_free_particle_susceptibility_has_a_pole_at_zero():
+    with pytest.raises(PoleEvaluationError, match="z = 0j"):
+        susceptibility(OhmicKernel(gamma=1.0), ParticleModel(M=1.0, K=0.0,
+                                                            Omega=1.0), 0.0)
+
+
 def renormalize_mass(m_bare, Omega, constants):
     """Reference observed mass M = m + (2 e^2 / 3 c^3) Omega."""
     return m_bare + (2.0 * constants.e ** 2 / (3.0 * constants.c ** 3)) * Omega
