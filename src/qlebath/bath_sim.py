@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._grid import check_time_grid, is_uniform_grid
-from .errors import GridError, InsufficientStatisticsError
+from .errors import AcausalModelError, GridError, InsufficientStatisticsError
 from .kernels import MemoryKernel
 from .response import ParticleModel
 
@@ -115,6 +116,33 @@ def recurrence_time(w: np.ndarray) -> float:
     if dw <= 0:
         raise ValueError("bath frequencies must be distinct")
     return 2.0 * math.pi / dw
+
+
+def particle_model(kernel: MemoryKernel, model: ParticleModel,
+                   bath: Bath) -> ParticleModel:
+    """The model whose M is the particle's own mass in a moving-particle
+    run of this bath, for simulate_classical_io.
+
+    With mu(0) > 0 that is the model itself.  With mu(0) = 0 (blackbody) the
+    modes already carry sum_j m_j of the observed inertia M, as the discrete
+    D(z) = K - (M_p + sum_j m_j) z^2 + O(z^4) shows, so the particle keeps
+    M_p = M - sum_j m_j (Ford, Kac & Mazur, J. Math. Phys. 6, 504 (1965)).
+    Raises AcausalModelError for an acausal model (bare mass < 0) or when
+    the bath is at least as heavy as M.
+    """
+    if kernel.re_mu_real_axis(0.0) > 0.0:
+        return model
+    if not model.is_causal:
+        raise AcausalModelError(
+            f"Omega tau_e = {model.Omega * model.tau_e:.6g} > 1: an acausal "
+            "model has a negative bare mass, which no bath of positive masses "
+            "realizes")
+    mass = model.M - float(bath.m.sum())
+    if mass <= 0.0:
+        raise AcausalModelError(
+            f"the bath's modes carry {model.M - mass:.6g} of the observed mass "
+            f"M = {model.M:.6g}, leaving the particle none")
+    return replace(model, M=mass)
 
 
 def reconstructed_memory(bath: Bath, t):
@@ -398,7 +426,8 @@ def force_autocorrelation_check(ens: Ensemble, bath: Bath,
 
 
 def dump_ensemble(ens: Ensemble, path) -> None:
-    """Write the raw trajectories in a documented binary layout (version 2).
+    """Write the raw trajectories in a documented binary layout (version 2)
+    to path, or into path itself when it is a binary file open for writing.
 
     Little-endian throughout: magic b"QLEB", uint32 version, uint32 n_traj,
     uint32 n_times, uint32 N_bath, uint32 has_force, float64 t0, float64 dt,
@@ -415,7 +444,7 @@ def dump_ensemble(ens: Ensemble, path) -> None:
         int(ens.force is not None), float(ens.times[0]),
         float(ens.times[1] - ens.times[0]),
         float(ens.T), float(ens.k_B), int(ens.seed))
-    with open(path, "wb") as fh:
+    with nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC + struct.pack("<I", _DUMP_VERSION) + header)
         for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())

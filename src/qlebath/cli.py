@@ -18,6 +18,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from functools import partial
+from operator import methodcaller
 
 import numpy as np
 
@@ -28,16 +29,16 @@ from .errors import ConfigError, QlebathError
 from .response import poles_and_causality, susceptibility
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _replace_file(path: str, write) -> None:
+    """Have write(fh) fill a new temporary binary file beside path, then
+    rename it over path; a failed write removes the temporary file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -49,7 +50,11 @@ def _csv_text(header, columns) -> str:
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _write_artifacts(cfg: RunConfig, header, columns, meta: dict) -> None:
+def _write_artifacts(cfg: RunConfig, header, columns, meta: dict,
+                     ensemble=None) -> None:
+    """Write the run's files: the ensemble dump when there is one and the
+    config names a file for it, the CSV, then the sidecar.  All text is built first, so a sidecar value
+    outside strict JSON fails the run before any file is written."""
     sidecar = cfg.to_json()
     sidecar["meta"] = {
         "package": "qlebath",
@@ -57,36 +62,37 @@ def _write_artifacts(cfg: RunConfig, header, columns, meta: dict) -> None:
         "numpy": np.__version__,
         **meta,
     }
-    # strict JSON: a NaN or infinity raises here, before any file is written
-    sidecar_text = json.dumps(sidecar, allow_nan=False) + "\n"
+    # strict JSON: a NaN or infinity raises here
+    texts = {"csv": _csv_text(header, columns),
+             "json": json.dumps(sidecar, allow_nan=False) + "\n"}
+    writers = ({"dump": partial(bath_sim.dump_ensemble, ensemble)}
+               if ensemble is not None and "dump" in cfg.output else {})
+    writers.update((kind, methodcaller("write", text.encode()))
+                   for kind, text in texts.items())
     os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, cfg.output["csv"])
-    _atomic_write_text(csv_path, _csv_text(header, columns))
-    json_path = os.path.join(cfg.out_dir, cfg.output["json"])
-    _atomic_write_text(json_path, sidecar_text)
+    for kind, write in writers.items():
+        _replace_file(os.path.join(cfg.out_dir, cfg.output[kind]), write)
 
 
-def _run_susceptibility(cfg: RunConfig) -> dict:
+def _run_susceptibility(cfg: RunConfig) -> None:
     omega = cfg.grid("omega")
     alpha = susceptibility(cfg.kernel(), cfg.model(), omega + 0j)
     _write_artifacts(cfg, ("omega", "re_alpha", "im_alpha"),
                      (omega, alpha.real, alpha.imag),
                      {"result": {"points": omega.size}})
-    return {}
 
 
-def _run_causality(cfg: RunConfig) -> dict:
+def _run_causality(cfg: RunConfig) -> None:
     report = poles_and_causality(cfg.kernel(), cfg.model())
     poles = np.array(report.poles, dtype=complex)
     _write_artifacts(cfg, ("re_pole", "im_pole"), (poles.real, poles.imag),
                      {"result": report.to_json()})
-    return report.to_json()
 
 
-def _run_thermo(cfg: RunConfig, use_shift_route: bool) -> dict:
+def _run_thermo(cfg: RunConfig, use_shift_route: bool) -> None:
     kernel, model = cfg.kernel(), cfg.model()
     curve = thermo.free_energy_curve(
-        kernel, model, cfg.grid("T"), rtol=cfg.tolerance,
+        kernel, model, cfg.grid("T"),
         allow_acausal=cfg.options.get("allow_acausal", False),
         use_shift_route=use_shift_route)
     temps, shifts, errors = curve.temperatures, curve.shift, curve.errors
@@ -114,10 +120,9 @@ def _run_thermo(cfg: RunConfig, use_shift_route: bool) -> dict:
                 1.0, model, dimensions=cfg.dim)
     _write_artifacts(cfg, ("T", "F0", "baseline", "shift", "U", "S", "C",
                            "quad_error"), columns, {"result": result})
-    return result
 
 
-def _run_welton(cfg: RunConfig) -> dict:
+def _run_welton(cfg: RunConfig) -> None:
     model = cfg.model()
     k = cfg.constants
     factor = cfg.dim / 3.0   # the stored integrand is the 3D form
@@ -130,10 +135,9 @@ def _run_welton(cfg: RunConfig) -> dict:
     _write_artifacts(cfg, ("T", "welton_energy", "closed_form", "quad_error"),
                      (temps, factor * values, factor * closed, factor * errors),
                      {"result": {"max_rel_dev_vs_closed_form": max([0.0, *rel])}})
-    return {}
 
 
-def _run_electron_motion(cfg: RunConfig) -> dict:
+def _run_electron_motion(cfg: RunConfig) -> None:
     model = cfg.model()
     t_grid = cfg.grid("t")
     force = cfg.options["force"]
@@ -154,27 +158,25 @@ def _run_electron_motion(cfg: RunConfig) -> dict:
     _write_artifacts(cfg, ("t", "x", "v", "a"),
                      (traj.times, traj.x, traj.v, traj.a),
                      {"result": traj.summary_json()})
-    return traj.summary_json()
 
 
-def _run_diffusion(cfg: RunConfig) -> dict:
+def _run_diffusion(cfg: RunConfig) -> None:
     kernel, model = cfg.kernel(), cfg.model()
     opts = cfg.options  # grids.t is optional: msd_curve has a default grid
     curve = diffusion.msd_curve(kernel, model, opts["T"], cfg.grids.get("t"),
                                 classical=opts["classical"], rtol=cfg.tolerance)
-    tags = diffusion.regime_tag(curve)
-    report = diffusion.report_from_curve(curve)
     _write_artifacts(cfg, ("t", "msd", "regime_tag"),
-                     (curve.times, curve.values, tags),
-                     {"result": report.to_json(),
+                     (curve.times, curve.values, diffusion.regime_tag(curve)),
+                     {"result": diffusion.report_from_curve(curve).to_json(),
                       "diagnostics": curve.diagnostics})
-    return report.to_json()
 
 
-def _run_oracle(cfg: RunConfig) -> dict:
+def _run_oracle(cfg: RunConfig) -> None:
     kernel, model = cfg.kernel(), cfg.model()
     opts = cfg.options
     bath = bath_sim.discretize_bath(kernel, opts["N"], opts["omega_max"])
+    if not opts["freeze_particle"]:
+        model = bath_sim.particle_model(kernel, model, bath)
     t_grid = cfg.grid("t")
     ens = bath_sim.simulate_classical_io(
         bath, model, opts["T"], t_grid, opts["n_traj"], cfg.seed,
@@ -190,17 +192,8 @@ def _run_oracle(cfg: RunConfig) -> dict:
         header = ("t", "msd_mean", "msd_stderr")
         columns = bath_sim.ensemble_msd(ens)
         result = {"n_traj": ens.n_traj, "N_bath": ens.N_bath, "t_rec": t_rec}
-
-    # The dump is written only once the statistics have succeeded, so a
-    # failed run leaves no artifact behind.
-    if "dump" in cfg.output:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        dump_path = os.path.join(cfg.out_dir, cfg.output["dump"])
-        tmp = dump_path + ".tmp"
-        bath_sim.dump_ensemble(ens, tmp)
-        os.replace(tmp, dump_path)
-    _write_artifacts(cfg, header, columns, {"result": result})
-    return result
+    # only once the statistics have succeeded, so a failed run writes nothing
+    _write_artifacts(cfg, header, columns, {"result": result}, ensemble=ens)
 
 
 _RUNNERS = {
@@ -217,13 +210,8 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
-    runner = _RUNNERS.get(cfg.command)
-    if runner is None:
-        print(f"error: config: unknown command '{cfg.command}'",
-              file=sys.stderr)
-        return 2
     try:
-        runner(cfg)
+        _RUNNERS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,7 @@ A config file is a single JSON object.  Keys common to every command:
     command    one of: susceptibility, causality, free-energy, shift,
                welton, electron-motion, diffusion, oracle   (required)
     units      "dimensionless" (default) or "cgs"
-    dim        1 (default) or 3 -- applies the multiply-by-three convention
+    dim        the integer 1 (default) or 3 -- the multiply-by-three convention
     seed       integer in [0, 2**64); required for the oracle command
     tolerance  float, default 1e-8 (quadrature/fit tolerance where relevant)
     kernel     {"variant": "ohmic"|"single_relaxation"|"blackbody", ...} and
@@ -17,14 +17,16 @@ A config file is a single JSON object.  Keys common to every command:
                the whole value may also be the string "point-limit"
     grids      the command's grids, of "T", "t" and "omega"; each grid is a list
                of numbers or {"start", "stop", "num", "spacing": "linear"|"log"}
-    output     {"csv": name, "json": name, "dump": name} -- file names
-               relative to the output directory (no path escapes)
+               with num at most 10**7
+    output     {"csv": name, "json": name, "dump": name} -- distinct plain file
+               names in the output directory
     out_dir    output directory (default "."), overridden by --out
     meta       ignored on load, so emitted sidecars reload as valid configs
 
 Each command's grids, kernel, default model.K and extra keys are one entry
-of ``_COMMANDS``.  Unknown keys, and grids the command does not read, are
-rejected with the dotted path of the offending key.
+of ``_COMMANDS``.  Every JSON object of a config passes ``_object``, so
+unknown keys, and grids the command does not read, are rejected with the
+dotted path of the offending key.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -64,8 +67,8 @@ _COMMANDS = {
         "freeze_particle": False, "T": 1.0}),
 }
 
-_COMMON_KEYS = {"command", "units", "dim", "seed", "tolerance", "kernel",
-                "model", "grids", "output", "out_dir", "meta"}
+_COMMON_KEYS = frozenset({"command", "units", "dim", "seed", "tolerance",
+                          "kernel", "model", "grids", "output", "out_dir", "meta"})
 
 # Each kernel variant's keys, sorted, and its required keys: every field of
 # its class but ``constants`` (set by ``units``); a field without a default
@@ -115,9 +118,6 @@ class RunConfig:
         return ParticleModel(M=M, K=spec["K"], Omega=omega, constants=k)
 
     def kernel(self):
-        if self.kernel_spec is None:
-            raise ConfigError(f"command '{self.command}' requires a kernel",
-                              key="kernel")
         if self.kernel_spec["variant"] == "blackbody":
             # its M and Omega, where given, match the model's (validated)
             return self.model().kernel()
@@ -126,9 +126,6 @@ class RunConfig:
         return kernel_from_json(spec, constants=self.constants)
 
     def grid(self, name: str) -> np.ndarray:
-        if name not in self.grids:
-            raise ConfigError(f"command '{self.command}' needs grids.{name}",
-                              key=f"grids.{name}")
         return np.asarray(self.grids[name], dtype=float)
 
     def to_json(self) -> dict:
@@ -154,13 +151,52 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
+def _path(key, sub: str) -> str:
+    return f"{key}.{sub}" if key else sub
+
+
+def _object(value, key, allowed, required=()) -> dict:
+    """value, once it is a JSON object with only allowed keys and every
+    required one; key is its dotted path, None for the whole config."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key or 'config'} must be a JSON object, got "
+                          f"{_type_name(value)}", key=key)
+    for sub in value:
+        if sub not in allowed:
+            raise ConfigError(f"unknown key {_path(key, sub)} (expected "
+                              f"{', '.join(sorted(allowed)) or 'none'})",
+                              key=_path(key, sub))
+    for sub in required:
+        if sub not in value:
+            raise ConfigError(f"{key or 'config'} needs '{sub}'",
+                              key=_path(key, sub))
+    return value
+
+
+def _tagged(value, key, tag: str, table: dict):
+    """The name in value[tag] and its entry of table, value being a JSON
+    object; its other keys are the caller's to check."""
+    name = _object(value, key, value, (tag,))[tag]
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {_path(key, tag)} {name!r} (expected one "
+                          f"of {', '.join(table)})", key=_path(key, tag))
+    return name, table[name]
+
+
+def _require_int(value, key: str, low: int, high, rule: str) -> int:
+    """value, once it is an integer (not a bool) in [low, high)."""
+    if type(value) is not int or not low <= value < high:
+        raise ConfigError(f"{key} must be an integer {rule}", key=key)
+    return value
+
+
 def _require_number(value, key: str, *, positive=False, nonneg=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {_type_name(value)}",
                           key=key)
-    x = float(value)
-    if not math.isfinite(x):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int past float
         raise ConfigError(f"{key} must be finite", key=key)
+    x = float(value)
     if positive and x <= 0:
         raise ConfigError(f"{key} must be > 0", key=key)
     if nonneg and x < 0:
@@ -174,49 +210,35 @@ def _expand_grid(value, key: str) -> list:
             raise ConfigError(f"{key} must not be empty", key=key)
         pts = [_require_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
     elif isinstance(value, dict):
-        allowed = {"start", "stop", "num", "spacing"}
-        for sub in value:
-            if sub not in allowed:
-                raise ConfigError(f"unknown key {key}.{sub}", key=f"{key}.{sub}")
-        for need in ("start", "stop", "num"):
-            if need not in value:
-                raise ConfigError(f"{key} needs '{need}'", key=f"{key}.{need}")
+        _object(value, key, ("start", "stop", "num", "spacing"),
+                ("start", "stop", "num"))
         start = _require_number(value["start"], f"{key}.start")
         stop = _require_number(value["stop"], f"{key}.stop")
-        num = value["num"]
-        if isinstance(num, bool) or not isinstance(num, int) or num < 1:
-            raise ConfigError(f"{key}.num must be a positive integer",
-                              key=f"{key}.num")
+        num = _require_int(value["num"], f"{key}.num", 1, 10 ** 7 + 1,
+                           "from 1 to 10**7")
         spacing = value.get("spacing", "linear")
-        if spacing == "linear":
-            pts = list(np.linspace(start, stop, num))
-        elif spacing == "log":
-            if start <= 0 or stop <= 0:
-                raise ConfigError(f"{key}: log spacing needs positive bounds",
-                                  key=f"{key}.spacing")
-            pts = list(np.geomspace(start, stop, num))
-        else:
+        if spacing not in ("linear", "log"):
             raise ConfigError(f"{key}.spacing must be 'linear' or 'log'",
                               key=f"{key}.spacing")
+        if spacing == "log" and (start <= 0 or stop <= 0):
+            raise ConfigError(f"{key}: log spacing needs positive bounds",
+                              key=f"{key}.spacing")
+        space = np.geomspace if spacing == "log" else np.linspace
+        pts = space(start, stop, num).tolist()
     else:
         raise ConfigError(f"{key} must be a list or a start/stop/num object",
                           key=key)
     if len(pts) > 1 and any(b <= a for a, b in zip(pts, pts[1:])):
         raise ConfigError(f"grid not increasing: {key} must be strictly "
                           "increasing", key=key)
-    return [float(p) for p in pts]
+    return pts
 
 
 def _normalize_model(value, default_K: float) -> dict:
     spec = {"M": 1.0, "K": default_K, "Omega": "point-limit"}
     if value is None or value == "point-limit":
         return spec
-    if not isinstance(value, dict):
-        raise ConfigError("model must be an object or the string "
-                          f"'point-limit', got {_type_name(value)}", key="model")
-    for sub in value:
-        if sub not in ("M", "K", "Omega"):
-            raise ConfigError(f"unknown key model.{sub}", key=f"model.{sub}")
+    _object(value, "model", ("M", "K", "Omega"))
     if "M" in value:
         spec["M"] = _require_number(value["M"], "model.M", positive=True)
     if "K" in value:
@@ -230,28 +252,15 @@ def _normalize_model(value, default_K: float) -> dict:
 def _normalize_kernel(value, model_spec: dict, constants: PhysicalConstants):
     if value is None:
         return None
-    if not isinstance(value, dict):
-        raise ConfigError(f"kernel must be an object, got {_type_name(value)}",
-                          key="kernel")
-    if "variant" not in value:
-        raise ConfigError("kernel needs a 'variant'", key="kernel.variant")
-    variant = value["variant"]
-    if not isinstance(variant, str) or variant not in _KERNEL_KEYS:
-        raise ConfigError(f"unknown kernel variant '{variant}' (expected one "
-                          f"of {', '.join(_KERNEL_KEYS)})", key="kernel.variant")
-    names, required = _KERNEL_KEYS[variant]
-    for sub in value:
-        if sub != "variant" and sub not in names:
-            raise ConfigError(f"unknown key kernel.{sub}", key=f"kernel.{sub}")
+    variant, (names, required) = _tagged(value, "kernel", "variant",
+                                         _KERNEL_KEYS)
+    _object(value, "kernel", ("variant", *names), required)
     spec = {"variant": variant}
     for name in names:
         if name in value:
             spec[name] = _require_number(value[name], f"kernel.{name}",
                                          positive=(name in ("tau", "Omega", "M")),
                                          nonneg=(name in ("gamma", "mass")))
-        elif name in required:
-            raise ConfigError(f"kernel variant '{variant}' needs '{name}'",
-                              key=f"kernel.{name}")
     mass_key = "M" if variant == "blackbody" else "mass"
     if mass_key in spec and not math.isclose(spec[mass_key], model_spec["M"],
                                              rel_tol=1e-12):
@@ -271,82 +280,48 @@ def _normalize_kernel(value, model_spec: dict, constants: PhysicalConstants):
 
 
 def _validate_output(value, command: str) -> dict:
+    """The output file names: plain names in the output directory (no
+    directory part, not '.' or '..'), no two alike."""
     base = command.replace("-", "_")
     out = {"csv": f"{base}.csv", "json": f"{base}.json"}
     if value is None:
         return out
-    if not isinstance(value, dict):
-        raise ConfigError(f"output must be an object, got {_type_name(value)}",
-                          key="output")
-    for sub, name in value.items():
-        if sub not in ("csv", "json", "dump"):
-            raise ConfigError(f"unknown key output.{sub}", key=f"output.{sub}")
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"output.{sub} must be a nonempty file name",
-                              key=f"output.{sub}")
-        if os.path.isabs(name) or ".." in name.split(os.sep) or "\x00" in name:
-            raise ConfigError(
-                f"output.{sub} must stay inside the output directory",
-                key=f"output.{sub}")
-        out[sub] = name
+    out.update(_object(value, "output", ("csv", "json", "dump")))
+    for i, (sub, name) in enumerate(out.items()):
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or os.path.dirname(name) or "\x00" in name):
+            raise ConfigError(f"output.{sub} must be a plain file name in the "
+                              "output directory", key=f"output.{sub}")
+        if name in list(out.values())[:i]:
+            raise ConfigError(f"output.{sub} = {name!r} names another output "
+                              "file too", key=f"output.{sub}")
     return out
 
 
-def _validate_force(value, key: str = "force") -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object", key=key)
-    if "type" not in value:
-        raise ConfigError(f"{key} needs a 'type'", key=f"{key}.type")
-    ftype = value["type"]
-    if not isinstance(ftype, str) or ftype not in _FORCE_TYPES:
-        raise ConfigError(
-            f"unknown {key}.type '{ftype}' (expected one of "
-            f"{', '.join(sorted(_FORCE_TYPES))})", key=f"{key}.type")
-    _, params = _FORCE_TYPES[ftype]
-    for sub in value:
-        if sub != "type" and sub not in params:
-            raise ConfigError(f"unknown key {key}.{sub}", key=f"{key}.{sub}")
-    out = {"type": ftype}
-    for name in params:
-        if name not in value:
-            raise ConfigError(f"{key}.type '{ftype}' needs '{name}'",
-                              key=f"{key}.{name}")
-        positive = name in ("t_ramp", "omega", "sigma")
-        out[name] = _require_number(value[name], f"{key}.{name}",
-                                    positive=positive)
-    return out
+def _validate_force(value) -> dict:
+    ftype, (_, params) = _tagged(value, "force", "type", _FORCE_TYPES)
+    _object(value, "force", ("type", *params), params)
+    return {"type": ftype, **{
+        name: _require_number(value[name], f"force.{name}",
+                              positive=name in ("t_ramp", "omega", "sigma"))
+        for name in params}}
 
 
 def validate_config(data: dict) -> RunConfig:
     """Validate a parsed JSON object and fill documented defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object at top level")
-    if "command" not in data:
-        raise ConfigError("config needs a 'command'", key="command")
-    command = data["command"]
-    if not isinstance(command, str) or command not in _COMMANDS:
-        raise ConfigError(f"unknown command '{command}' (expected one of "
-                          f"{', '.join(_COMMANDS)})", key="command")
-
-    cmd = _COMMANDS[command]
-    allowed = _COMMON_KEYS | set(cmd.options)
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key}", key=key)
+    command, cmd = _tagged(data, None, "command", _COMMANDS)
+    _object(data, None, _COMMON_KEYS.union(cmd.options))
 
     units = data.get("units", "dimensionless")
     if units not in ("dimensionless", "cgs"):
         raise ConfigError("units must be 'dimensionless' or 'cgs'", key="units")
     dim = data.get("dim", 1)
-    if dim not in (1, 3):
-        raise ConfigError("dim must be 1 or 3", key="dim")
+    if type(dim) is not int or dim not in (1, 3):
+        raise ConfigError("dim must be the integer 1 or 3", key="dim")
     seed = data.get("seed")
     if seed is not None:
-        if (isinstance(seed, bool) or not isinstance(seed, int)
-                or not 0 <= seed < 2 ** 64):
-            raise ConfigError("seed must be a nonnegative integer below 2**64: "
-                              "the ensemble dump stores it as uint64",
-                              key="seed")
+        _require_int(seed, "seed", 0, 2 ** 64, "in [0, 2**64): the ensemble "
+                     "dump stores it as uint64")
     tolerance = _require_number(data.get("tolerance", 1.0e-8), "tolerance",
                                 positive=True)
 
@@ -357,16 +332,8 @@ def validate_config(data: dict) -> RunConfig:
         raise ConfigError(f"command '{command}' requires a kernel",
                           key="kernel")
 
-    grids_in = data.get("grids", {})
-    if not isinstance(grids_in, dict):
-        raise ConfigError("grids must be an object", key="grids")
-    grids = {}
-    for name, value in grids_in.items():
-        if name not in cmd.grids:
-            raise ConfigError(f"unknown key grids.{name}: command '{command}' "
-                              f"reads {', '.join(cmd.grids) or 'no grid'}",
-                              key=f"grids.{name}")
-        grids[name] = _expand_grid(value, f"grids.{name}")
+    grids = {name: _expand_grid(value, f"grids.{name}") for name, value
+             in _object(data.get("grids", {}), "grids", cmd.grids).items()}
     for name, required in cmd.grids.items():
         if required and name not in grids:
             raise ConfigError(f"command '{command}' needs grids.{name}",
@@ -403,15 +370,11 @@ def validate_config(data: dict) -> RunConfig:
         elif name in ("x0", "v0", "a0", "T"):
             value = _require_number(value, name, nonneg=(name == "T"))
         elif name == "N":
-            if isinstance(value, bool) or not isinstance(value, int) or value < 2:
-                raise ConfigError("N must be an integer >= 2: the bath needs "
-                                  "a frequency spacing", key=name)
+            _require_int(value, name, 2, math.inf, ">= 2: the bath needs a "
+                         "frequency spacing")
         elif name == "n_traj":
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or not 1 <= value < 2 ** 32):
-                raise ConfigError("n_traj must be a positive integer below "
-                                  "2**32: one uint32 stream key per trajectory",
-                                  key=name)
+            _require_int(value, name, 1, 2 ** 32, "in [1, 2**32): one uint32 "
+                         "stream key per trajectory")
         elif name == "omega_max":
             if value is not None:
                 value = _require_number(value, name, positive=True)
@@ -474,14 +437,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object at top level")
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                data[key] = value
+    except ValueError as exc:  # also an integer literal of over 4300 digits
+        raise ConfigError(f"config parse error: {exc}") from exc
+    if overrides and isinstance(data, dict):
+        data.update((k, v) for k, v in overrides.items() if v is not None)
     return validate_config(data)

@@ -205,19 +205,17 @@ def _closed_form(kernel: MemoryKernel, model: ParticleModel, temps,
 
 
 def coupled_free_energy(kernel: MemoryKernel, model: ParticleModel, T: float,
-                        rtol: float = 1e-10,
-                        allow_acausal: bool = False) -> tuple[float, float]:
+                        *, allow_acausal: bool = False) -> tuple[float, float]:
     """Free energy F0(T) of the oscillator coupled to the bath, as (value,
-    rounding bound); ``rtol`` has no effect on the closed form."""
+    rounding bound)."""
     value, error = _closed_form(kernel, model, [T], allow_acausal, shift=False)
     return float(value[0]), float(error[0])
 
 
 def free_energy_shift(kernel: MemoryKernel, model: ParticleModel, T: float,
-                      rtol: float = 1e-11,
-                      allow_acausal: bool = False) -> tuple[float, float]:
+                      *, allow_acausal: bool = False) -> tuple[float, float]:
     """F0(T) - f(omega_0, T) without cancellation (K > 0), as (value,
-    rounding bound); ``rtol`` has no effect."""
+    rounding bound)."""
     value, error = _closed_form(kernel, model, [T], allow_acausal, shift=True)
     return float(value[0]), float(error[0])
 
@@ -296,14 +294,13 @@ class FreeEnergyCurve:
 
 
 def free_energy_curve(kernel: MemoryKernel, model: ParticleModel,
-                      temperatures, rtol: float = 1e-10,
-                      allow_acausal: bool = False,
+                      temperatures, *, allow_acausal: bool = False,
                       use_shift_route: bool = False) -> FreeEnergyCurve:
     """Sample F0(T) on a grid, every temperature in one closed-form pass.
 
     With ``use_shift_route`` the cancellation-free shift is evaluated (kept
     as ``raw_shift``) and the decoupled baseline f(omega_0, T) added back,
-    which is the accurate choice at weak coupling.  ``rtol`` has no effect.
+    which is the accurate choice at weak coupling.
     """
     temps = np.asarray(temperatures, dtype=float)
     k = model.constants

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from qlebath import (
     DIMENSIONLESS,
+    AcausalModelError,
     Bath,
     GridError,
     InsufficientStatisticsError,
@@ -23,6 +24,7 @@ from qlebath import (
     force_autocorrelation_check,
     load_ensemble,
     msd,
+    msd_curve,
     reconstructed_memory,
     recurrence_time,
     simulate_classical_io,
@@ -419,3 +421,42 @@ def test_dump_requires_uniform_grid(tmp_path):
                                 seed=11)
     with pytest.raises(ValueError):
         dump_ensemble(ens, tmp_path / "bad.bin")
+
+
+BLACKBODY_FREE = ParticleModel(M=1.0, K=0.0,
+                               Omega=0.5 * ParticleModel.point_limit(1.0, 0.0).Omega)
+
+
+def test_blackbody_moving_ensemble_matches_the_continuum_msd():
+    # Omega tau_e = 0.5: the modes carry ~0.48 of M, so a particle of the
+    # whole observed mass M made the msd ~30% (6-8 sigma) low
+    model = BLACKBODY_FREE
+    kernel = model.kernel()
+    osc = discretize_bath(kernel, N=400)
+    particle = bath_sim.particle_model(kernel, model, osc)
+    assert particle.M == model.M - osc.m.sum()
+    assert 0.4 < osc.m.sum() < 0.5
+    t = np.linspace(0.0, 0.5 * recurrence_time(osc.w), 11)
+    ens = simulate_classical_io(osc, particle, 1.0, t, n_traj=400, seed=1)
+    _, mean, stderr = ensemble_msd(ens)
+    exact = msd_curve(kernel, model, 1.0, t[1:], classical=True).values
+    assert np.max(np.abs(mean[1:] - exact) / stderr[1:]) < 4.0
+
+
+def test_a_kernel_with_friction_at_zero_frequency_keeps_the_observed_mass():
+    # Ohmic and single-relaxation ensembles stay those of the model itself
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
+    for kernel in (OhmicKernel(gamma=1.0),
+                   SingleRelaxationKernel(gamma=1.0, tau=0.5)):
+        osc = discretize_bath(kernel, N=50)
+        assert bath_sim.particle_model(kernel, model, osc) is model
+
+
+def test_an_acausal_or_overweight_blackbody_bath_is_rejected():
+    acausal = ParticleModel(M=1.0, K=0.0, Omega=1.2 / BLACKBODY_FREE.tau_e)
+    kernel = acausal.kernel()
+    with pytest.raises(AcausalModelError, match="acausal"):
+        bath_sim.particle_model(kernel, acausal, discretize_bath(kernel, N=50))
+    heavy = Bath(m=[0.7, 0.5], w=[1.0, 2.0])
+    with pytest.raises(AcausalModelError, match="carry 1.2"):
+        bath_sim.particle_model(BLACKBODY_FREE.kernel(), BLACKBODY_FREE, heavy)

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import qlebath
-from qlebath import cli, diffusion, load_ensemble, motion, validate_config
+from qlebath import (bath_sim, cli, diffusion, load_ensemble, motion,
+                     validate_config)
 from qlebath.cli import main as cli_main
 
 TAU_E_INVERSE = 1.0 / (2.0 * (1.0 / 137.036) / 3.0)  # dimensionless 1/tau_e
@@ -254,6 +255,13 @@ def test_oracle_ensemble_mode_and_binary_dump(tmp_path):
     assert ens.seed == 5
 
 
+def test_a_command_without_an_ensemble_writes_no_dump(tmp_path):
+    data, _ = SMOKE_CASES["welton"]
+    rc, out = run_cli(tmp_path, {**data, "output": {"dump": "raw.bin"}})
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == ["welton.csv", "welton.json"]
+
+
 @pytest.mark.parametrize("grid", [
     {"start": 0.1, "stop": 3.0, "num": 7, "spacing": "log"},
     [0.0, 1.0, 3.0],
@@ -304,8 +312,7 @@ def test_failed_oracle_statistics_leave_no_dump(tmp_path, capsys):
     rc, out = run_cli(tmp_path, data)
     assert rc == 3
     assert "insufficient statistics" in capsys.readouterr().err
-    assert not (out / "raw.bin").exists()
-    assert not (out / "raw.bin.tmp").exists()
+    assert not out.exists()   # neither the dump nor a temporary file
 
 
 ORACLE_BASE = {"command": "oracle", "seed": 5, "N": 40, "n_traj": 8, "T": 1.0,
@@ -367,6 +374,37 @@ def test_frozen_window_past_the_recurrence_horizon_is_a_config_error(
         validate_config(data)
     validate_config({**data, "N": 13})     # t_rec ~ 5.1
     validate_config({**data, "freeze_particle": False})  # no force window
+
+
+BLACKBODY_ORACLE = {"command": "oracle", "seed": 3, "N": 100, "n_traj": 50,
+                    "kernel": {"variant": "blackbody"},
+                    "grids": {"t": [0.0, 0.1, 0.2]}}
+
+
+def test_a_blackbody_oracle_run_leaves_the_bath_its_share_of_the_mass(tmp_path):
+    data = {**BLACKBODY_ORACLE,
+            "model": {"M": 1.0, "K": 0.0, "Omega": 0.5 * TAU_E_INVERSE}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0
+    cfg = validate_config(data)
+    kernel, model = cfg.kernel(), cfg.model()
+    bath = bath_sim.discretize_bath(kernel, 100)
+    particle = bath_sim.particle_model(kernel, model, bath)
+    assert particle.M < 0.6 * model.M
+    ens = bath_sim.simulate_classical_io(bath, particle, 1.0, cfg.grid("t"),
+                                         50, 3)
+    rows = read_rows(out / "oracle.csv")
+    assert [float(row[1]) for row in rows[1:]] == list(bath_sim.ensemble_msd(ens)[1])
+
+
+def test_an_acausal_blackbody_oracle_run_is_a_numerical_error(tmp_path, capsys):
+    data = {**BLACKBODY_ORACLE,
+            "model": {"M": 1.0, "K": 0.0, "Omega": 1.2 * TAU_E_INVERSE}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: ") and "acausal" in err
+    assert not out.exists()
 
 
 def test_susceptibility_on_a_pole_is_a_numerical_error(tmp_path, capsys):

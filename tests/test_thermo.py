@@ -194,7 +194,7 @@ def test_shift_route_matches_direct_difference():
     kernel = OhmicKernel(gamma=0.02)
     model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
     for T in (0.3, 1.0, 4.0):
-        total, err_total = coupled_free_energy(kernel, model, T, rtol=1e-12)
+        total, err_total = coupled_free_energy(kernel, model, T)
         direct = total - oscillator_free_energy(model.omega_0, T)
         shift, err_shift = free_energy_shift(kernel, model, T)
         assert shift == pytest.approx(direct,
@@ -339,12 +339,12 @@ def test_narrow_relaxation_line_has_a_closed_form():
     kernel = SingleRelaxationKernel(gamma=1.98e-4, tau=1.41, mass=0.0288)
     model = ParticleModel(M=0.0288, K=211.0, Omega=1.0)
     T = model.omega_0 / 8.37
-    F, err = coupled_free_energy(kernel, model, T, rtol=1e-8)
+    F, err = coupled_free_energy(kernel, model, T)
     ref_F, ref_F_err = reference_free_energy(kernel, model, T, rtol=1e-8)
     assert ref_F_err > 1e-6 * abs(ref_F)
     assert err <= 1e-8 * abs(F)
     assert abs(F - ref_F) <= err + ref_F_err
-    shift, err_shift = free_energy_shift(kernel, model, T, rtol=1e-8)
+    shift, err_shift = free_energy_shift(kernel, model, T)
     baseline = oscillator_free_energy(model.omega_0, T)
     assert abs(F - (baseline + shift)) <= err + err_shift + EPS * abs(baseline)
     ref, ref_err = reference_shift(kernel, model, T)
@@ -381,18 +381,29 @@ def test_curve_shift_property_and_metadata():
     assert np.all(np.isfinite(curve.shift))
 
 
-def test_shift_route_curve_honours_rtol():
+def test_shift_route_curve_matches_the_pointwise_shift():
     kernel = OhmicKernel(gamma=0.1)
     model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
     temps = np.linspace(0.5, 2.0, 4)
-    rtol = 1e-6
-    curve = free_energy_curve(kernel, model, temps, rtol=rtol,
-                              use_shift_route=True)
+    rtol = 1e-6   # of the reference quadrature
+    curve = free_energy_curve(kernel, model, temps, use_shift_route=True)
     for T, err, shift in zip(temps, curve.errors, curve.shift):
-        assert (shift, err) == free_energy_shift(kernel, model, T, rtol=rtol)
+        assert (shift, err) == free_energy_shift(kernel, model, T)
         ref, ref_err = reference_shift(kernel, model, T, rtol=rtol)
         assert ref_err <= rtol * abs(ref)
         assert abs(shift - ref) <= err + ref_err
+
+
+def test_a_positional_argument_after_T_is_a_type_error():
+    # allow_acausal is keyword-only: an old positional rtol must not turn
+    # it on
+    kernel = OhmicKernel(gamma=0.1)
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
+    for fn in (coupled_free_energy, free_energy_shift):
+        with pytest.raises(TypeError):
+            fn(kernel, model, 1.0, 1e-8)
+    with pytest.raises(TypeError):
+        free_energy_curve(kernel, model, [1.0, 2.0], 1e-8)
 
 
 def test_quadratic_fit_recovers_exact_coefficient():
