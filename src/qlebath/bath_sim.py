@@ -5,7 +5,9 @@ weights chosen so the discrete cosine sum converges to the memory function;
 the coupled classical system (particle + bath, bilinear coupling through
 (q_j - x)^2) is linear, so it is solved exactly in its normal modes from
 thermal initial data (Ford, Kac & Mazur, J. Math. Phys. 6, 504 (1965);
-Ullersma, Physica 32, 27 (1966)).
+Ullersma, Physica 32, 27 (1966)).  The normal frequencies are the roots of
+the discrete D(omega), one in each gap between bath frequencies, found by a
+secular-equation solve, and the modes follow from them in closed form.
 This provides an independent check of the fluctuation-dissipation structure:
 the force on a frozen particle must satisfy <F(t)F(0)> = kT mu(t), and the
 free-particle ensemble MSD must match the quadrature route.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,8 +43,8 @@ _DUMP_HEADER = {1: "<IIIddQ", 2: "<IIIIddddQ"}
 
 @dataclass(frozen=True)
 class Bath:
-    """The bath modes: masses m_j and frequencies w_j as float arrays, with
-    weights c_j = m_j w_j^2."""
+    """The bath modes: masses m_j and distinct frequencies w_j as float
+    arrays, with weights c_j = m_j w_j^2."""
 
     m: np.ndarray
     w: np.ndarray
@@ -60,6 +62,13 @@ class Bath:
             finite_weights = np.all(np.isfinite(m * w ** 2))
         if not finite_weights:
             raise ValueError("bath oscillator weight m_j omega_j^2 must be finite")
+        order = np.argsort(w, kind="stable")
+        repeats = np.flatnonzero(w[order[1:]] == w[order[:-1]])
+        if repeats.size:
+            i, j = order[repeats[0]:repeats[0] + 2]
+            raise ValueError(
+                f"bath frequencies w[{i}] and w[{j}] are both {float(w[i])!r}: the "
+                "normal modes need distinct frequencies")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "w", w)
 
@@ -158,6 +167,8 @@ class Ensemble:
 
     x and v have shape (n_traj, n_times).  force is present only for
     frozen-particle runs and holds the bath force on the clamped particle.
+    diagnostics holds a moving-particle run's normal-mode solve counters
+    (see normal_modes); it is empty otherwise and is not dumped.
     """
 
     times: np.ndarray
@@ -168,6 +179,7 @@ class Ensemble:
     T: float
     force: np.ndarray | None = None
     k_B: float = 1.0
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -201,6 +213,140 @@ def _propagators(t, lam, row, basis=None):
     if basis is None:
         return C, S, D
     return C @ basis, S @ basis, D @ basis
+
+
+_EPS = np.finfo(float).eps
+_MAX_PASSES = 64
+
+
+def _small_root(a2, a1, a0):
+    """The root of a2 x^2 - a1 x + a0 = 0 nearer zero, written without
+    cancellation (LAPACK dlaed4's form); inf or NaN when a2 = 0 <= -a1."""
+    s = np.sqrt(np.abs(a1 * a1 - 4.0 * a0 * a2))
+    return np.where(a1 > 0, 2.0 * a0 / (a1 + s), (a1 - s) / (2.0 * a2))
+
+
+def normal_modes(bath: Bath, M: float, K: float):
+    """Normal modes of a particle (mass M > 0, spring K >= 0) coupled to the
+    bath through sum_j c_j (q_j - x)^2 / 2.
+
+    The mass-weighted stiffness matrix is the arrowhead [[a, z^T], [z,
+    diag(d)]] with a = (K + sum_j c_j)/M, d_j = w_j^2 and z_j =
+    -c_j/sqrt(M m_j).  Its eigenvalues are the roots of the discrete
+    D(sqrt(lam)) = K - M lam - lam sum_j c_j/(w_j^2 - lam) (Ford, Kac &
+    Mazur, J. Math. Phys. 6, 504 (1965)).  Divided by -M lam that is the
+    secular equation f(lam) = 1 + sum_j b_j/(p_j - lam) = 0 of a rank-one
+    update, with poles p = (0, w_j^2 sorted) and weights b = (K, c_j)/M:
+    the lowest root lies between 0 and the lowest w_j^2 (it is 0 itself
+    for a free particle), and one root lies in each gap above.  The
+    highest root lies below p_N + sum_j b_j, which acts as a pole of
+    weight 0.
+
+    All roots are iterated as one array pass (R.-C. Li, LAPACK Working
+    Note 89 (1994); LAPACK dlaed4), each held as an offset tau from its
+    nearer pole, so that its distance to that pole is exact: a two-pole
+    guess from the gap's midpoint, then the "middle way" rational step
+    (one pole for the highest root), kept inside a shrinking bracket and
+    bisected when it leaves it, until |f| falls below the rounding bound
+    of its sum.  Converged roots leave the pass.  The eigenvectors are the
+    Cauchy vectors (1, z_j/(lam_k - d_j)), normalized (Gu & Eisenstat,
+    SIAM J. Matrix Anal. Appl. 15, 1266 (1994)).  The cost is O(N^2) per
+    pass.  The bath's frequencies must be distinct, which Bath ensures.
+
+    Returns lam (N + 1,) ascending; U (N + 1, N + 1) orthonormal, mode k in
+    column k, coordinates in rows (the particle, then the bath modes in
+    the bath's order); and {"secular_passes": the most passes one root
+    took, "secular_residual": the largest |f|/bound at exit}.
+    """
+    order = np.argsort(bath.w)
+    p = np.concatenate(([0.0], bath.w[order] ** 2, [0.0]))
+    b = np.concatenate(([K], bath.c[order], [0.0])) / M
+    p[-1] = p[-2] + b.sum()
+    n = p.size - 1                      # root k lies in (p_k, p_k+1)
+    origin = np.arange(n)
+    tau = np.zeros(n)
+    passes = np.zeros(n, dtype=int)
+    residual = np.zeros(n)
+    term, delta = np.empty((2, n, n + 1))
+    # The lowest root is below K/(M + sum_j m_j).  A free particle's is
+    # p_0 = 0 itself, and so is one below the normal float range.
+    free = K / (M + bath.m.sum()) < np.finfo(float).tiny
+    act = np.arange(1 if free else 0, n)
+    # f' terms b_j/(p_j - lam)^2 overflow only for a root within ~1e-308 of
+    # its pole: the bound is then infinite and the root as close as floats go
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Two-pole guess: f at the gap's midpoint, less the terms of the
+        # gap's two poles, is the constant of a model with only those poles.
+        k, m = act, act.size
+        gap = p[k + 1] - p[k]
+        rows = np.arange(m)
+        np.subtract(p, (p[k] + gap / 2)[:, np.newaxis], out=delta[:m])
+        np.divide(b, delta[:m], out=term[:m])
+        w = 1.0 + term[:m].sum(axis=1)
+        c = w - term[rows, k] - term[rows, k + 1]
+        lower = w > 0                   # f increases: the root is below mid
+        lo = np.where(lower, 0.0, -gap / 2)
+        hi = np.where(lower, gap / 2, 0.0)
+        guess = _small_root(c, np.where(lower, c, -c) * gap + b[k] + b[k + 1],
+                            np.where(lower, b[k], -b[k + 1]) * gap)
+        tau[k] = np.where((guess > lo) & (guess < hi), guess, (lo + hi) / 2)
+        origin[k] += ~lower
+        # From here each root keeps its origin: the offsets p_j - p_origin
+        # and the split into poles below (j <= k) and above the root.
+        offsets = np.subtract(p, p[origin[k], np.newaxis])
+        below = np.less_equal(np.arange(n + 1), k[:, np.newaxis])
+        above = ~below
+        for step in range(1, _MAX_PASSES + 1):
+            m, org, t = act.size, origin[act], tau[act]
+            np.subtract(offsets, t[:, np.newaxis], out=delta[:m])
+            np.divide(b, delta[:m], out=term[:m])
+            np.divide(term[:m], delta[:m], out=delta[:m])    # f' terms
+            psi = term[:m].sum(axis=1, where=below)
+            phi = term[:m].sum(axis=1, where=above)
+            dpsi = delta[:m].sum(axis=1, where=below)
+            dphi = delta[:m].sum(axis=1, where=above)
+            w = 1.0 + psi + phi
+            # rounding of the sums and of the distances to the poles
+            bound = _EPS * (2.0 + 8.0 * (phi - psi)
+                            + 3.0 * np.abs(t) * (dpsi + dphi))
+            passes[act] = step
+            residual[act] = np.abs(w) / bound
+            done = np.abs(w) <= bound
+            if done.all() or step == _MAX_PASSES:
+                break
+            if done.any():
+                keep = ~done
+                act, org, t, w, dpsi, dphi, lo, hi = (
+                    a[keep] for a in (act, org, t, w, dpsi, dphi, lo, hi))
+                offsets, below, above = offsets[keep], below[keep], above[keep]
+            lo = np.where(w < 0, np.maximum(lo, t), lo)
+            hi = np.where(w > 0, np.minimum(hi, t), hi)
+            # Middle way: the model c + s/(p_k - lam) + S/(p_k+1 - lam) that
+            # matches f and f' at lam, as a quadratic in the step scaled by
+            # r = 1/(p_k+1 - lam).  p_k+1 has weight 0 for the highest root,
+            # whose model then has one pole.
+            d_lo = (p[act] - p[org]) - t
+            r = 1.0 / ((p[act + 1] - p[org]) - t)
+            eta = _small_root((w - d_lo * dpsi) * r - dphi,
+                              (1.0 + d_lo * r) * w - d_lo * (dpsi + dphi),
+                              d_lo * w)
+            eta = np.where(w * eta >= 0, -w / (dpsi + dphi), eta)  # Newton
+            new = t + eta
+            inside = (new > lo) & (new < hi)
+            tau[act] = np.where(inside, new, (t + np.where(w < 0, hi, lo)) / 2)
+    del term, delta, offsets
+    lam = p[origin] + tau
+    # Cauchy vectors, coordinates in the bath's order; lam_k - d_j is exact
+    # at the origin.  Built as rows and returned transposed.
+    U = np.empty((n, n))
+    V = U[:, 1:]
+    np.subtract(p[origin, np.newaxis], bath.w ** 2, out=V)
+    V += tau[:, np.newaxis]
+    np.divide(-bath.c / np.sqrt(M * bath.m), V, out=V)
+    U[:, 0] = 1.0
+    U /= np.sqrt(np.einsum("kj,kj->k", U, U))[:, np.newaxis]
+    return lam, U.T, {"secular_passes": int(passes.max(initial=0)),
+                      "secular_residual": float(residual.max(initial=0.0))}
 
 
 def _hash(value, hash_const, mult):
@@ -286,8 +432,10 @@ def simulate_classical_io(bath: Bath, model: ParticleModel, T: float, t_grid,
     equilibrium q_j = x(0) (no initial slip force); the particle velocity is
     drawn from its Maxwell distribution unless v0 overrides it.  Initial
     data are drawn at t = 0 whatever the grid's first time.  The system is
-    linear, so x(t) and v(t) follow exactly from one eigendecomposition of
-    the (N+1)^2 mass-weighted stiffness matrix; there is no time step.
+    linear, so x(t) and v(t) follow exactly from its normal modes, which
+    normal_modes finds from the secular equation of the mass-weighted
+    stiffness matrix in O(N^2); there is no time step.  The solve's
+    counters go to Ensemble.diagnostics.
 
     freeze_particle clamps x at x0; each bath mode is then a normal mode on
     its own, and the bath force on the particle is recorded in
@@ -328,17 +476,17 @@ def simulate_classical_io(bath: Bath, model: ParticleModel, T: float, t_grid,
 
     if v0 is not None:
         vel0[:, 0] = float(v0)
-    # Potential K x^2/2 + sum_j c_j (q_j - x)^2/2; mass-weighted stiffness.
-    H = np.diag(np.concatenate(([K + c.sum()], c)))
-    H[0, 1:] = H[1:, 0] = -c
-    root = np.sqrt(np.concatenate(([M], m)))
-    lam, U = np.linalg.eigh(H / np.outer(root, root))
-    C, S, D = _propagators(t, lam, U[0] / root[0], U.T * root)
+    lam, U, diagnostics = normal_modes(bath, M, K)
+    row = U[0] / math.sqrt(M)
+    basis = U.T                     # modes in rows; scaled in place
+    basis *= np.sqrt(np.concatenate(([M], m)))
+    C, S, D = _propagators(t, lam, row, basis)
     # z(0) = x0 + pos0 in every coordinate.
     x_out = x0 * C.sum(axis=1) + pos0 @ C.T + vel0 @ S.T
     v_out = x0 * D.sum(axis=1) + pos0 @ D.T + vel0 @ C.T
     return Ensemble(times=t, x=x_out, v=v_out, seed=int(seed),
-                    N_bath=N, T=T, force=None, k_B=model.constants.k_B)
+                    N_bath=N, T=T, force=None, k_B=model.constants.k_B,
+                    diagnostics=diagnostics)
 
 
 def ensemble_msd(ens: Ensemble):

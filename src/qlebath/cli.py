@@ -5,7 +5,8 @@ The sidecar is the fully resolved config (so it re-loads as a valid config
 reproducing the run) plus a "meta" object holding package and dependency
 versions, achieved tolerances, and the command's summary result.
 
-Exit codes: 0 success, 2 invalid config or arguments, 3 numerical failure.
+Exit codes: 0 success, 2 invalid config or arguments, 3 numerical failure
+(or a run that does not fit in memory).
 Failures print a single line "error: <kind>: <detail>" on stderr.
 """
 
@@ -192,8 +193,13 @@ def _run_oracle(cfg: RunConfig) -> None:
         header = ("t", "msd_mean", "msd_stderr")
         columns = bath_sim.ensemble_msd(ens)
         result = {"n_traj": ens.n_traj, "N_bath": ens.N_bath, "t_rec": t_rec}
+    # the bath recurs at t_rec: later points no longer sample the continuum
+    diagnostics = {**ens.diagnostics,
+                   "points_past_t_rec": int(np.count_nonzero(t_grid > t_rec))}
     # only once the statistics have succeeded, so a failed run writes nothing
-    _write_artifacts(cfg, header, columns, {"result": result}, ensemble=ens)
+    _write_artifacts(cfg, header, columns,
+                     {"result": result, "diagnostics": diagnostics},
+                     ensemble=ens)
 
 
 _RUNNERS = {
@@ -221,6 +227,9 @@ def run(cfg: RunConfig) -> int:
         return 3
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -417,6 +417,9 @@ def _check_oracle_bath(kernel, options: dict) -> None:
                                       options["omega_max"])
     except GridError as exc:
         raise ConfigError(str(exc), key="omega_max") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"N = {options['N']} bath modes do not fit in "
+                          f"memory: {exc}", key="N") from exc
     if options["freeze_particle"]:
         try:
             bath_sim.comparison_window(kernel, bath_sim.recurrence_time(w))

@@ -71,6 +71,11 @@ def test_bath_rejects_modes_that_are_not_positive_and_finite(m, w, match):
         Bath(m=m, w=w)
 
 
+def test_bath_rejects_repeated_frequencies():
+    with pytest.raises(ValueError, match=r"w\[1\] and w\[3\] are both 2\.0"):
+        Bath(m=[1.0, 1.0, 2.0, 3.0], w=[1.0, 2.0, 3.0, 2.0])
+
+
 def test_memory_reconstruction_matches_exponential_kernel():
     # mu(t) = (gamma/tau) e^{-t/tau} for the single-relaxation kernel
     gamma, tau = 1.0, 1.0
@@ -258,6 +263,60 @@ def test_moving_particle_matches_the_matrix_exponential():
     ref = np.array([expm(A * tk) @ y0 for tk in t])
     for got, want in ((ens.x[0], ref[:, 0]), (ens.v[0], ref[:, n])):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def eigh_normal_modes(bath, M, K):
+    """Dense reference: eigh of the (N+1)^2 mass-weighted stiffness matrix."""
+    c = bath.c
+    H = np.diag(np.concatenate(([K + c.sum()], c)))
+    H[0, 1:] = H[1:, 0] = -c
+    root = np.sqrt(np.concatenate(([M], bath.m)))
+    lam, U = np.linalg.eigh(H / np.outer(root, root))
+    return lam, U, {}
+
+
+def check_normal_modes_against_eigh(bath, M, K, t):
+    lam, U, diagnostics = bath_sim.normal_modes(bath, M, K)
+    ref, _, _ = eigh_normal_modes(bath, M, K)
+    d = np.sort(bath.w ** 2)
+    assert np.all(lam[:-1] <= d) and np.all(d <= lam[1:])     # interlacing
+    assert np.max(np.abs(lam - ref)) <= 1e-13 * ref[-1]
+    assert np.max(np.abs(U.T @ U - np.eye(lam.size))) <= 1e-13
+    assert 1 <= diagnostics["secular_passes"] <= bath_sim._MAX_PASSES
+    assert diagnostics["secular_residual"] <= 1.0
+    args = (bath, ParticleModel(M=M, K=K, Omega=1.0), 1.0, t, 3, 11)
+    ens = simulate_classical_io(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bath_sim, "normal_modes", eigh_normal_modes)
+        want = simulate_classical_io(*args)
+    for got, ref_values in ((ens.x, want.x), (ens.v, want.v)):
+        scale = np.max(np.abs(ref_values))
+        assert np.max(np.abs(got - ref_values)) <= 1e-11 * scale
+
+
+# derandomize: the same examples on every run, as in test_properties.py
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(N=st.integers(2, 300),
+       K=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       M=st.floats(0.05, 20.0),
+       gamma=st.floats(0.1, 3.0),
+       tau=st.one_of(st.none(), st.floats(0.1, 3.0)),
+       shuffle=st.randoms(use_true_random=False))
+def test_normal_modes_match_a_dense_eigendecomposition(N, K, M, gamma, tau,
+                                                       shuffle):
+    kernel = (OhmicKernel(gamma=gamma) if tau is None
+              else SingleRelaxationKernel(gamma=gamma, tau=tau))
+    osc = discretize_bath(kernel, N)
+    order = list(range(N))
+    shuffle.shuffle(order)
+    osc = Bath(m=osc.m[order], w=osc.w[order])
+    check_normal_modes_against_eigh(osc, M, K,
+                                    np.linspace(0.0, 10.0 / kernel.scale, 9))
+
+
+def test_normal_modes_of_a_thousand_mode_bath():
+    osc = discretize_bath(OhmicKernel(gamma=1.0), N=1000)
+    check_normal_modes_against_eigh(osc, 1.0, 0.5, np.linspace(0.0, 10.0, 9))
 
 
 def test_frozen_particle_force_statistics():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -405,6 +406,36 @@ def test_an_acausal_blackbody_oracle_run_is_a_numerical_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: numerical: ") and "acausal" in err
     assert not out.exists()
+
+
+def test_oracle_sidecar_states_the_solve_and_the_points_past_t_rec(tmp_path):
+    # N = 40 modes up to 16 gamma: t_rec = 2 pi / 0.4 = 15.7
+    grid = {"t": {"start": 0.0, "stop": 20.0, "num": 11}}
+    for freeze, solve in ((False, {"secular_passes", "secular_residual"}),
+                          (True, set())):
+        data = {**ORACLE_BASE, "n_traj": 64, "freeze_particle": freeze,
+                "grids": grid}
+        rc, out = run_cli(tmp_path, data, out=f"frozen-{freeze}")
+        assert rc == 0
+        sidecar = json.loads((out / "oracle.json").read_text())
+        diagnostics = sidecar["meta"]["diagnostics"]
+        assert set(diagnostics) == solve | {"points_past_t_rec"}
+        assert diagnostics["points_past_t_rec"] == 3      # t = 16, 18, 20
+        if solve:
+            assert diagnostics["secular_passes"] >= 1
+            assert 0.0 <= diagnostics["secular_residual"] <= 1.0
+        assert validate_config(sidecar).command == "oracle"
+
+
+def test_a_run_out_of_memory_exits_3_with_one_line_and_no_file(tmp_path,
+                                                               capsys):
+    cfg = validate_config({**ORACLE_BASE, "out_dir": str(tmp_path / "out")})
+    # past the config's check: 10**15 modes, refused at the first allocation
+    cfg = replace(cfg, options={**cfg.options, "N": 10 ** 15})
+    assert cli.run(cfg) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: memory: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_susceptibility_on_a_pole_is_a_numerical_error(tmp_path, capsys):

@@ -152,6 +152,7 @@ REJECTIONS = {
                                "freeze_particle"),
     "N-one": ({**ORACLE, "N": 1}, "N"),
     "N-float": ({**ORACLE, "N": 40.0}, "N"),
+    "N-past-memory": ({**ORACLE, "N": 10 ** 15}, "N"),
     "n-traj-zero": ({**ORACLE, "n_traj": 0}, "n_traj"),
     "n-traj-past-uint32": ({**ORACLE, "n_traj": 2 ** 32}, "n_traj"),
     "frozen-n-traj-one": ({**ORACLE, "n_traj": 1, "freeze_particle": True},
