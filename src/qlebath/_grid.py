@@ -1,4 +1,4 @@
-"""Time-grid checks shared by the motion, diffusion, bath and config code."""
+"""Time-grid and temperature checks shared across the package."""
 
 import numpy as np
 
@@ -21,3 +21,11 @@ def is_uniform_grid(t) -> bool:
     """True when the steps of t agree to rtol 1e-9, as a binary dump needs."""
     dts = np.diff(np.asarray(t, dtype=float))
     return bool(np.allclose(dts, dts[:1], rtol=1.0e-9, atol=0.0))
+
+
+def check_temperatures(T) -> np.ndarray:
+    """T, a number or an array, as floats; ValueError unless finite and >= 0."""
+    t = np.asarray(T, dtype=float)
+    if not np.all((t >= 0.0) & (t < np.inf)):  # NaN fails both
+        raise ValueError("temperature must be finite and >= 0")
+    return t

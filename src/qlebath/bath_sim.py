@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._grid import check_time_grid, is_uniform_grid
+from ._grid import check_temperatures, check_time_grid, is_uniform_grid
 from .errors import AcausalModelError, GridError, InsufficientStatisticsError
 from .kernels import MemoryKernel
 from .response import ParticleModel
@@ -453,8 +453,7 @@ def simulate_classical_io(bath: Bath, model: ParticleModel, T: float, t_grid,
     t = check_time_grid(t_grid)
     if t[0] < 0:
         raise GridError("time grid must be nonnegative")
-    if not (T >= 0 and math.isfinite(T)):
-        raise ValueError("temperature must be >= 0 and finite")
+    check_temperatures(T)
     if not (isinstance(n_traj, (int, np.integer)) and n_traj >= 1):
         raise ValueError("n_traj must be a positive integer")
 

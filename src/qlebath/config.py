@@ -24,9 +24,9 @@ A config file is a single JSON object.  Keys common to every command:
     meta       ignored on load, so emitted sidecars reload as valid configs
 
 Each command's grids, kernel, default model.K and extra keys are one entry
-of ``_COMMANDS``.  Every JSON object of a config passes ``_object``, so
-unknown keys, and grids the command does not read, are rejected with the
-dotted path of the offending key.
+of ``_COMMANDS``.  Every JSON object of a config passes
+``_schema.json_object``, so unknown keys, and grids the command does not
+read, are rejected with the dotted path of the offending key.
 """
 
 from __future__ import annotations
@@ -34,16 +34,17 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from collections import namedtuple
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bath_sim
 from ._grid import is_uniform_grid
+from ._schema import json_object, require_int, require_number, tagged
 from .errors import ConfigError, GridError
-from .kernels import DIMENSIONLESS, KERNELS, PhysicalConstants, kernel_from_json
+from .kernels import (DIMENSIONLESS, PhysicalConstants, kernel_from_json,
+                      kernel_spec)
 from .response import ParticleModel
 
 # Per command: the grids it reads (True: required), whether it builds a kernel
@@ -69,15 +70,6 @@ _COMMANDS = {
 
 _COMMON_KEYS = frozenset({"command", "units", "dim", "seed", "tolerance",
                           "kernel", "model", "grids", "output", "out_dir", "meta"})
-
-# Each kernel variant's keys, sorted, and its required keys: every field of
-# its class but ``constants`` (set by ``units``); a field without a default
-# is required, except blackbody's Omega, which defaults to the model's.
-_KERNEL_KEYS = {
-    variant: (sorted(f.name for f in fields(cls) if f.name != "constants"),
-              [f.name for f in fields(cls) if f.default is MISSING
-               and f.name not in ("constants", "Omega")])
-    for variant, cls in KERNELS.items()}
 
 # Each drive type's factory in ``motion`` and its parameters, in call order.
 _FORCE_TYPES = {
@@ -147,75 +139,18 @@ class RunConfig:
         return out
 
 
-def _type_name(value) -> str:
-    return type(value).__name__
-
-
-def _path(key, sub: str) -> str:
-    return f"{key}.{sub}" if key else sub
-
-
-def _object(value, key, allowed, required=()) -> dict:
-    """value, once it is a JSON object with only allowed keys and every
-    required one; key is its dotted path, None for the whole config."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key or 'config'} must be a JSON object, got "
-                          f"{_type_name(value)}", key=key)
-    for sub in value:
-        if sub not in allowed:
-            raise ConfigError(f"unknown key {_path(key, sub)} (expected "
-                              f"{', '.join(sorted(allowed)) or 'none'})",
-                              key=_path(key, sub))
-    for sub in required:
-        if sub not in value:
-            raise ConfigError(f"{key or 'config'} needs '{sub}'",
-                              key=_path(key, sub))
-    return value
-
-
-def _tagged(value, key, tag: str, table: dict):
-    """The name in value[tag] and its entry of table, value being a JSON
-    object; its other keys are the caller's to check."""
-    name = _object(value, key, value, (tag,))[tag]
-    if not isinstance(name, str) or name not in table:
-        raise ConfigError(f"unknown {_path(key, tag)} {name!r} (expected one "
-                          f"of {', '.join(table)})", key=_path(key, tag))
-    return name, table[name]
-
-
-def _require_int(value, key: str, low: int, high, rule: str) -> int:
-    """value, once it is an integer (not a bool) in [low, high)."""
-    if type(value) is not int or not low <= value < high:
-        raise ConfigError(f"{key} must be an integer {rule}", key=key)
-    return value
-
-
-def _require_number(value, key: str, *, positive=False, nonneg=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {_type_name(value)}",
-                          key=key)
-    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int past float
-        raise ConfigError(f"{key} must be finite", key=key)
-    x = float(value)
-    if positive and x <= 0:
-        raise ConfigError(f"{key} must be > 0", key=key)
-    if nonneg and x < 0:
-        raise ConfigError(f"{key} must be >= 0", key=key)
-    return x
-
-
 def _expand_grid(value, key: str) -> list:
     if isinstance(value, list):
         if len(value) < 1:
             raise ConfigError(f"{key} must not be empty", key=key)
-        pts = [_require_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
+        pts = [require_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
     elif isinstance(value, dict):
-        _object(value, key, ("start", "stop", "num", "spacing"),
-                ("start", "stop", "num"))
-        start = _require_number(value["start"], f"{key}.start")
-        stop = _require_number(value["stop"], f"{key}.stop")
-        num = _require_int(value["num"], f"{key}.num", 1, 10 ** 7 + 1,
-                           "from 1 to 10**7")
+        json_object(value, key, ("start", "stop", "num", "spacing"),
+                    ("start", "stop", "num"))
+        start = require_number(value["start"], f"{key}.start")
+        stop = require_number(value["stop"], f"{key}.stop")
+        num = require_int(value["num"], f"{key}.num", 1, 10 ** 7 + 1,
+                          "from 1 to 10**7")
         spacing = value.get("spacing", "linear")
         if spacing not in ("linear", "log"):
             raise ConfigError(f"{key}.spacing must be 'linear' or 'log'",
@@ -238,29 +173,23 @@ def _normalize_model(value, default_K: float) -> dict:
     spec = {"M": 1.0, "K": default_K, "Omega": "point-limit"}
     if value is None or value == "point-limit":
         return spec
-    _object(value, "model", ("M", "K", "Omega"))
+    json_object(value, "model", ("M", "K", "Omega"))
     if "M" in value:
-        spec["M"] = _require_number(value["M"], "model.M", positive=True)
+        spec["M"] = require_number(value["M"], "model.M", positive=True)
     if "K" in value:
-        spec["K"] = _require_number(value["K"], "model.K", nonneg=True)
+        spec["K"] = require_number(value["K"], "model.K", nonneg=True)
     if value.get("Omega", "point-limit") != "point-limit":
-        spec["Omega"] = _require_number(value["Omega"], "model.Omega",
-                                        positive=True)
+        spec["Omega"] = require_number(value["Omega"], "model.Omega",
+                                       positive=True)
     return spec
 
 
 def _normalize_kernel(value, model_spec: dict, constants: PhysicalConstants):
     if value is None:
         return None
-    variant, (names, required) = _tagged(value, "kernel", "variant",
-                                         _KERNEL_KEYS)
-    _object(value, "kernel", ("variant", *names), required)
-    spec = {"variant": variant}
-    for name in names:
-        if name in value:
-            spec[name] = _require_number(value[name], f"kernel.{name}",
-                                         positive=(name in ("tau", "Omega", "M")),
-                                         nonneg=(name in ("gamma", "mass")))
+    # blackbody's Omega defaults to the model's
+    spec = kernel_spec(value, optional=("Omega",))
+    variant = spec["variant"]
     mass_key = "M" if variant == "blackbody" else "mass"
     if mass_key in spec and not math.isclose(spec[mass_key], model_spec["M"],
                                              rel_tol=1e-12):
@@ -286,7 +215,7 @@ def _validate_output(value, command: str) -> dict:
     out = {"csv": f"{base}.csv", "json": f"{base}.json"}
     if value is None:
         return out
-    out.update(_object(value, "output", ("csv", "json", "dump")))
+    out.update(json_object(value, "output", ("csv", "json", "dump")))
     for i, (sub, name) in enumerate(out.items()):
         if (not isinstance(name, str) or name in ("", ".", "..")
                 or os.path.dirname(name) or "\x00" in name):
@@ -299,18 +228,18 @@ def _validate_output(value, command: str) -> dict:
 
 
 def _validate_force(value) -> dict:
-    ftype, (_, params) = _tagged(value, "force", "type", _FORCE_TYPES)
-    _object(value, "force", ("type", *params), params)
+    ftype, (_, params) = tagged(value, "force", "type", _FORCE_TYPES)
+    json_object(value, "force", ("type", *params), params)
     return {"type": ftype, **{
-        name: _require_number(value[name], f"force.{name}",
-                              positive=name in ("t_ramp", "omega", "sigma"))
+        name: require_number(value[name], f"force.{name}",
+                             positive=name in ("t_ramp", "omega", "sigma"))
         for name in params}}
 
 
 def validate_config(data: dict) -> RunConfig:
     """Validate a parsed JSON object and fill documented defaults."""
-    command, cmd = _tagged(data, None, "command", _COMMANDS)
-    _object(data, None, _COMMON_KEYS.union(cmd.options))
+    command, cmd = tagged(data, None, "command", _COMMANDS)
+    json_object(data, None, _COMMON_KEYS.union(cmd.options))
 
     units = data.get("units", "dimensionless")
     if units not in ("dimensionless", "cgs"):
@@ -320,10 +249,10 @@ def validate_config(data: dict) -> RunConfig:
         raise ConfigError("dim must be the integer 1 or 3", key="dim")
     seed = data.get("seed")
     if seed is not None:
-        _require_int(seed, "seed", 0, 2 ** 64, "in [0, 2**64): the ensemble "
-                     "dump stores it as uint64")
-    tolerance = _require_number(data.get("tolerance", 1.0e-8), "tolerance",
-                                positive=True)
+        require_int(seed, "seed", 0, 2 ** 64, "in [0, 2**64): the ensemble "
+                    "dump stores it as uint64")
+    tolerance = require_number(data.get("tolerance", 1.0e-8), "tolerance",
+                               positive=True)
 
     constants = PhysicalConstants.cgs() if units == "cgs" else DIMENSIONLESS
     model_spec = _normalize_model(data.get("model"), cmd.K)
@@ -333,7 +262,7 @@ def validate_config(data: dict) -> RunConfig:
                           key="kernel")
 
     grids = {name: _expand_grid(value, f"grids.{name}") for name, value
-             in _object(data.get("grids", {}), "grids", cmd.grids).items()}
+             in json_object(data.get("grids", {}), "grids", cmd.grids).items()}
     for name, required in cmd.grids.items():
         if required and name not in grids:
             raise ConfigError(f"command '{command}' needs grids.{name}",
@@ -368,16 +297,16 @@ def validate_config(data: dict) -> RunConfig:
         elif name == "force":
             value = _validate_force(value)
         elif name in ("x0", "v0", "a0", "T"):
-            value = _require_number(value, name, nonneg=(name == "T"))
+            value = require_number(value, name, nonneg=(name == "T"))
         elif name == "N":
-            _require_int(value, name, 2, math.inf, ">= 2: the bath needs a "
-                         "frequency spacing")
+            require_int(value, name, 2, math.inf, ">= 2: the bath needs a "
+                        "frequency spacing")
         elif name == "n_traj":
-            _require_int(value, name, 1, 2 ** 32, "in [1, 2**32): one uint32 "
-                         "stream key per trajectory")
+            require_int(value, name, 1, 2 ** 32, "in [1, 2**32): one uint32 "
+                        "stream key per trajectory")
         elif name == "omega_max":
             if value is not None:
-                value = _require_number(value, name, positive=True)
+                value = require_number(value, name, positive=True)
         options[name] = value
 
     if (command == "oracle" and options["freeze_particle"]
@@ -400,7 +329,10 @@ def validate_config(data: dict) -> RunConfig:
     # (e.g. blackbody Omega vs model Omega) before any work starts.
     cfg.model()
     if cfg.kernel_spec is not None:
-        kernel = cfg.kernel()
+        try:
+            kernel = cfg.kernel()
+        except ValueError as exc:  # a blackbody C Omega^2 past the float range
+            raise ConfigError(str(exc), key="model.Omega") from exc
         if command == "oracle":
             _check_oracle_bath(kernel, options)
     return cfg

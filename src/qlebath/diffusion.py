@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._grid import check_time_grid
+from ._grid import check_temperatures, check_time_grid
 from ._quad import quad
 from .errors import AcausalModelError, FitError, GridError
 from .kernels import MemoryKernel
@@ -171,8 +171,12 @@ def _closed_form(spec, kT: float, hbar: float, times, quantum: bool):
     """msd at times > 0 from the ``Spectrum``, and the Matsubara terms summed."""
     lam, r = (np.array(v, dtype=complex) for v in (spec.rates, spec.residues))
     t = times[:, None]
-    values = 2.0 * kT * (spec.g0 * times + times * times * (
-        (1j * r * lam * _phi2(-lam * t)).sum(axis=1).real - 0.5 * spec.c2))
+    per_t2 = (1j * r * lam * _phi2(-lam * t)).sum(axis=1).real - 0.5 * spec.c2
+    with np.errstate(over="ignore"):  # t^2 past the float range: regrouped
+        values = 2.0 * kT * (spec.g0 * times + times * times * per_t2)
+        big = ~np.isfinite(values)
+        t_big = times[big]
+        values[big] = 2.0 * kT * t_big * (spec.g0 + t_big * per_t2[big])
     if not quantum or lam.size == 0:  # no pole: no quantum correction
         return values, 0
     nu1 = 2.0 * math.pi * kT / hbar
@@ -259,8 +263,7 @@ def _msd_values(kernel: MemoryKernel, model: ParticleModel, T: float, times,
     """msd at every t >= 0 of ``times`` and the diagnostics of the routes."""
     if model.K != 0.0:
         raise ValueError("msd requires a free particle (model.K == 0)")
-    if not (T >= 0.0 and math.isfinite(T)):
-        raise ValueError("temperature must be >= 0 and finite")
+    check_temperatures(T)
     spec = spectrum(kernel, model)
     if spec.m < 0:
         raise AcausalModelError(
@@ -289,6 +292,9 @@ def _msd_values(kernel: MemoryKernel, model: ParticleModel, T: float, times,
         t = float(times[i])
         values[i] = (_quadrature(kernel, model, T, t, use_classical, rtol)
                      - kT * spec.c2 * t * t)
+    if not np.all(np.isfinite(values)):
+        raise OverflowError("the msd overflows the float range at t = "
+                            f"{times[~np.isfinite(values)][0]:.6g}")
     return values, {"route": {"poles": int(times.size - fallback.size),
                               "quadrature": int(fallback.size)},
                     "matsubara_terms": n_terms}

@@ -16,10 +16,11 @@ with no small imaginary offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
+from ._schema import json_object, require_number, tagged
 from .errors import ConfigError
 
 # Spec'd dimensionless fine-structure value.
@@ -186,6 +187,14 @@ class BlackbodyKernel(RationalKernel):
             raise ValueError("Omega must be positive and finite")
         if not (self.M > 0 and math.isfinite(self.M)):
             raise ValueError("M must be positive and finite")
+        try:
+            a1 = self.coefficients[1]
+        except OverflowError:  # Omega ** 2
+            a1 = math.inf
+        if not math.isfinite(a1):
+            raise ValueError("the kernel coefficient C Omega^2 = 2 e^2 Omega^2 "
+                             "/ 3 c^3 overflows the float range at Omega = "
+                             f"{self.Omega:.6g}")
 
     @property
     def radiation_coefficient(self) -> float:
@@ -208,21 +217,34 @@ KERNELS = {cls.variant: cls
            for cls in (OhmicKernel, SingleRelaxationKernel, BlackbodyKernel)}
 
 
+def kernel_spec(value, optional=()) -> dict:
+    """The JSON form of a kernel, checked as a run config's ``kernel`` is:
+    a known variant, no keys but the fields of its class (``constants``
+    aside), each field without a default present unless named in
+    ``optional``, and each a finite number, gamma >= 0 and any other > 0.
+    ConfigError names the dotted key, ``kernel.<field>``.  Returns the
+    variant and the given fields as floats, in sorted order.
+    """
+    variant, cls = tagged(value, "kernel", "variant", KERNELS)
+    given = [f for f in fields(cls) if f.name != "constants"]
+    json_object(value, "kernel", ["variant", *(f.name for f in given)],
+                [f.name for f in given
+                 if f.default is MISSING and f.name not in optional])
+    return {"variant": variant, **{
+        name: require_number(value[name], f"kernel.{name}",
+                             positive=name != "gamma", nonneg=name == "gamma")
+        for name in sorted(f.name for f in given) if name in value}}
+
+
 def kernel_from_json(spec: dict, constants: PhysicalConstants | None = None) -> MemoryKernel:
-    """Build a kernel from its JSON dict form.
+    """Build a kernel from its JSON dict form, checked by ``kernel_spec``.
 
     Blackbody kernels need ``constants`` for the charge and light speed.
     """
-    if not isinstance(spec, dict):
-        raise ConfigError("kernel must be a JSON object", key="kernel")
-    variant = spec.get("variant")
-    cls = KERNELS.get(variant) if isinstance(variant, str) else None
-    if cls is None:
-        raise ConfigError(f"unknown kernel variant {variant!r}, expected one "
-                          f"of {sorted(KERNELS)}", key="variant")
-    params = {k: v for k, v in spec.items() if k != "variant"}
+    params = kernel_spec(spec)
+    cls = KERNELS[params.pop("variant")]
     extra = {"constants": constants or DIMENSIONLESS} if cls is BlackbodyKernel else {}
     try:
         return cls(**params, **extra)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kernel parameters for {variant!r}: {exc}", key="kernel")
+    except ValueError as exc:  # C Omega^2 past the float range
+        raise ConfigError(str(exc), key="kernel.Omega") from exc

@@ -230,10 +230,11 @@ def _integrate_known_acceleration(accel, t_grid, x0: float, v0: float,
     h = np.diff(t)
     samples = _interval_samples(accel, t, h)
     steps = np.array([h, h * h])
-    increments = (samples @ _LAGRANGE @ _PHI_AT_ZERO).T * steps
-    dv, dx = increments
-    v = np.cumsum(np.append(v0, dv))
-    x = np.cumsum(np.append(x0, h * v[:-1] + dx))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        increments = (samples @ _LAGRANGE @ _PHI_AT_ZERO).T * steps
+        dv, dx = increments
+        v = np.cumsum(np.append(v0, dv))
+        x = np.cumsum(np.append(x0, h * v[:-1] + dx))
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
         raise StepSizeError("integration left the finite range (check the drive)")
     scale = float(np.max(np.abs(x))) + 1e-300

@@ -209,13 +209,18 @@ def _outer_real_root(c2: float, c1: float, c0: float) -> float:
     changes sign monotonically onto that root.  They start from the dominant
     balance x = -c2 (the cutoff or runaway root when it dwarfs the others)
     if it lies beyond that root, else from the Fujiwara bound, and go on
-    past the monotone phase while the steps shrink.
+    past the monotone phase while the steps shrink.  Past a bound of 2^300
+    the root is found as x/2^k, 2^k near the bound, so that x^3 stays in the
+    float range; scaling by a power of two rounds nothing.
     """
+    bound = 2.0 * max(abs(c2), math.sqrt(abs(c1)), abs(0.5 * c0) ** (1 / 3))
+    k = math.frexp(bound)[1] if bound > 2.0 ** 300 else 0
+    c2, c1, c0 = (math.ldexp(c, -j * k) for j, c in ((1, c2), (2, c1), (3, c0)))
     q = (1.0, c2, c1, c0)
     side = 1.0 if _horner(q, -c2 / 3.0)[0] < 0.0 else -1.0
     x = -c2
     if not (side * (x + c2 / 3.0) > 0.0 and side * _horner(q, x)[0] > 0.0):
-        x = side * 2.0 * max(abs(c2), math.sqrt(abs(c1)), abs(0.5 * c0) ** (1 / 3))
+        x = side * math.ldexp(bound, -k)
     step = math.inf
     for _ in range(200):
         f, fp = _horner(q, x)
@@ -226,7 +231,7 @@ def _outer_real_root(c2: float, c1: float, c0: float) -> float:
         if not monotone:
             step = f / fp
         x -= f / fp
-    return x
+    return math.ldexp(x, k)
 
 
 def _quadratic_roots(p: float, s: float) -> list:

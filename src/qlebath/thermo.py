@@ -13,9 +13,10 @@ with B Binet's function (Ford, Lewis & O'Connell, Phys. Rev. A 37, 4419
 F0 - f(omega_0, T) pairs each pole with its decoupled position, so it keeps
 its digits at weak coupling, where |F0| can exceed it by 10^5.
 
-The naive fluctuating-field energy (``welton_energy``, a quadrature) gives
-+pi alpha (kT)^2 / (3 m c^2): three times the magnitude of, and opposite in
-sign to, the true 3D energy shift obtained by differentiating F0.
+The naive fluctuating-field energy (``welton_energy``, a Gauss-Laguerre
+rule) gives +pi alpha (kT)^2 / (3 m c^2): three times the magnitude of, and
+opposite in sign to, the true 3D energy shift obtained by differentiating F0.
+Every function of T takes a number or an array of temperatures.
 """
 
 from __future__ import annotations
@@ -25,81 +26,70 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import quad
+from ._grid import check_temperatures
+# quad and denominator_closure stay importable: perfbench/spans.py patches them
+from ._quad import quad  # noqa: F401
 from .errors import AcausalModelError, GridError
 from .kernels import DIMENSIONLESS, MemoryKernel, PhysicalConstants
-# denominator_closure stays importable here: perfbench/spans.py counts the
-# D(z) evaluations of this module by patching it
 from .response import ParticleModel, denominator_closure, spectrum  # noqa: F401
 
-# exp(-x) underflows to exactly 0.0 beyond ~745, so every thermal weight used
-# here is *exactly* zero past these cuts; integrating further is pure noise.
-_LOG_WEIGHT_CUT = 746.0   # for kT log(1 - e^-x)
-_BOSE_CUT = 800.0         # for 1/(e^x - 1)
-_EPS = float(np.finfo(float).eps)
+_EPS, _LN2 = float(np.finfo(float).eps), math.log(2.0)
+# int_0^inf x/(e^x - 1) dx = pi^2/6 by the n-node Gauss-Laguerre rules,
+# sum_i w_i x_i/(1 - e^-x_i): 24 nodes are 1.9e-14 off, 48 nodes 4.3e-14
+_BOSE_MOMENT_24, _BOSE_MOMENT_48 = (
+    float(w @ (x / -np.expm1(-x)))
+    for x, w in map(np.polynomial.laguerre.laggauss, (24, 48)))
 
 
-def _bose(x):
-    """1/(e^x - 1) of a positive array without overflow; 0 past x = 700."""
-    return np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
+def _number_or_array(values: np.ndarray):
+    """A 0-d result as a float, any other as the array."""
+    return float(values) if values.ndim == 0 else values
 
 
-def oscillator_free_energy(omega: float, T: float,
-                           constants: PhysicalConstants = DIMENSIONLESS) -> float:
-    """Free energy kT log(1 - exp(-hbar omega/kT)) of one oscillator mode.
-
-    Returns 0 at T = 0 and when the exponential underflows.
+def oscillator_free_energy(omega: float, T,
+                           constants: PhysicalConstants = DIMENSIONLESS):
+    """Free energy kT log(1 - exp(-hbar omega/kT)) of one oscillator mode,
+    +0.0 at T = 0 and where e^-x underflows.  log(1 - e^-x) is log(-expm1(-x))
+    below x = ln 2 and log1p(-e^-x) above (Maechler, "Accurately computing
+    log(1 - exp(-|a|))", 2012).
     """
     if omega <= 0:
         raise ValueError("omega must be > 0")
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    if T == 0:
-        return 0.0
-    kT = constants.k_B * T
-    x = constants.hbar * omega / kT
-    if x > _LOG_WEIGHT_CUT:
-        return 0.0
-    return kT * math.log1p(-math.exp(-x))
+    kT = constants.k_B * check_temperatures(T)
+    with np.errstate(divide="ignore"):  # x = inf at T = 0
+        x = constants.hbar * omega / kT
+    log = np.where(x < _LN2, np.log(-np.expm1(-np.minimum(x, _LN2))),
+                   np.log1p(-np.exp(-np.maximum(x, _LN2))))
+    return _number_or_array(kT * log + 0.0)
 
 
-def welton_closed_form(T: float, mass: float,
-                       constants: PhysicalConstants = DIMENSIONLESS) -> float:
+def welton_closed_form(T, mass: float,
+                       constants: PhysicalConstants = DIMENSIONLESS):
     """pi alpha_fs (kT)^2 / (3 m c^2)."""
-    kT = constants.k_B * T
-    return math.pi * constants.alpha_fs * kT ** 2 / (3.0 * mass * constants.c ** 2)
+    kT = constants.k_B * check_temperatures(T)
+    return _number_or_array(
+        math.pi * constants.alpha_fs * kT ** 2 / (3.0 * mass * constants.c ** 2))
 
 
-def welton_energy(T: float, mass: float,
-                  constants: PhysicalConstants = DIMENSIONLESS,
-                  rtol: float = 1e-12) -> tuple[float, float]:
+def welton_energy(T, mass: float, constants: PhysicalConstants = DIMENSIONLESS):
     """Naive 3D thermal energy of a field-driven electron, by quadrature.
 
     An electron driven in one dimension by a field of amplitude E0 at
     frequency omega stores W = e^2 E0^2 / (4 m omega^2); identifying
     3 E0^2 / 8 pi with the thermal spectral energy density
     u = (hbar omega^3 / pi^2 c^3) / (e^{hbar omega/kT} - 1) gives
-    W = (2 pi e^2 / 3 m omega^2) u.  Integrates 3 W(omega) over all
-    frequencies; equals pi alpha_fs (kT)^2 / (3 m c^2).  Returns (value,
-    error estimate).
+    W = (2 pi e^2 / 3 m omega^2) u.  Over all frequencies 3 W integrates to
+    (2 e^2 hbar / pi m c^3) (kT/hbar)^2 int_0^inf x/(e^x - 1) dx = pi alpha_fs
+    (kT)^2 / (3 m c^2).  Returns (value, error estimate): the 24-node
+    Gauss-Laguerre rule and its distance from the 48-node rule.
     """
-    if T < 0:
-        raise ValueError("T must be >= 0")
     if mass <= 0:
         raise ValueError("mass must be > 0")
-    if T == 0:
-        return 0.0, 0.0
     k = constants
-    kT = k.k_B * T
-    w_th = kT / k.hbar
-    pref = 2.0 * k.e ** 2 * k.hbar / (math.pi * mass * k.c ** 3)
-
-    def integrand(om):
-        # 3 W(om) = (2 e^2 hbar / pi m c^3) om / (e^{hbar om/kT} - 1)
-        return pref * om * _bose(k.hbar * om / kT)
-
-    pts = [0.0, w_th, 10.0 * w_th, 40.0 * w_th, _BOSE_CUT * w_th]
-    return quad(integrand, pts, epsabs=0.0, epsrel=rtol)[:2]
+    w_th = k.k_B * check_temperatures(T) / k.hbar
+    scale = 2.0 * k.e ** 2 * k.hbar * w_th ** 2 / (math.pi * mass * k.c ** 3)
+    return tuple(_number_or_array(scale * moment) for moment in (
+        _BOSE_MOMENT_24, abs(_BOSE_MOMENT_24 - _BOSE_MOMENT_48)))
 
 
 # Stirling series B(x) ~ sum_k c_k x^(1 - 2k) of Binet's function and
@@ -123,34 +113,34 @@ def _binet(x):
     its n < 13 steps taken side by side.
     """
     x = np.asarray(x, dtype=complex)
-    n = np.ceil(np.sqrt(np.maximum(144.0 - x.imag ** 2, 0.0)) - x.real)
-    take = np.arange(12) < n[..., None]
-    y = x[..., None] + np.arange(12)
-    u = np.log1p(1.0 / y)
-    v = (y + 0.5) * u
-    w = (y + 0.5) / (y * (y + 1.0))
-    x = x + np.clip(n, 0, 12)
-    w2 = 1.0 / (x * x)
-    series = np.polyval(_STIRLING[::-1], w2) / x
-    series_p = np.polyval(_STIRLING_PRIME[::-1], w2) * w2
-    return (np.where(take, v - 1.0, 0.0).sum(-1) + series,
-            np.where(take, u - w, 0.0).sum(-1) + series_p,
-            np.where(take, np.abs(v) + 1.0, 0.0).sum(-1) + np.abs(series),
-            np.where(take, np.abs(u) + np.abs(w), 0.0).sum(-1) + np.abs(series_p))
+    with np.errstate(over="ignore", invalid="ignore"):  # 1/x^2 = 0 past 1e154
+        n = np.ceil(np.sqrt(np.maximum(144.0 - x.imag ** 2, 0.0)) - x.real)
+        take = np.arange(12) < n[..., None]
+        y = x[..., None] + np.arange(12)
+        u = np.log1p(1.0 / y)
+        v = (y + 0.5) * u
+        w = (y + 0.5) / (y * (y + 1.0))
+        x = x + np.clip(n, 0, 12)
+        w2 = 1.0 / (x * x)
+        series = np.polyval(_STIRLING[::-1], w2) / x
+        series_p = np.polyval(_STIRLING_PRIME[::-1], w2) * w2
+        return (np.where(take, v - 1.0, 0.0).sum(-1) + series,
+                np.where(take, u - w, 0.0).sum(-1) + series_p,
+                np.where(take, np.abs(v) + 1.0, 0.0).sum(-1) + np.abs(series),
+                np.where(take, np.abs(u) + np.abs(w), 0.0).sum(-1)
+                + np.abs(series_p))
 
 
-def _closed_form(kernel: MemoryKernel, model: ParticleModel, temps,
+def _closed_form(kernel: MemoryKernel, model: ParticleModel, T,
                  allow_acausal: bool, shift: bool):
-    """F0(T), or with ``shift`` F0(T) - f(omega_0, T), and a rounding bound
-    at every T of ``temps``.  The shift pairs the poles, in order of Im lam,
+    """F0(T), or with ``shift`` F0(T) - f(omega_0, T), and a rounding bound,
+    as arrays shaped as T.  The shift pairs the poles, in order of Im lam,
     with -i omega_0, lam_b and +i omega_0, and takes B(x + d) - B(x) = d
     times a 5-node Gauss-Legendre mean of B' while |d| <= |x|/8.  The bound
     counts eps per unit size of every term summed, and a pole rounded to eps
     in damping and in frequency, times |m|/M for a bare mass m < -M.
     """
-    temps = np.asarray(temps, dtype=float)
-    if np.any(temps < 0):
-        raise ValueError("T must be >= 0")
+    temps = check_temperatures(T)
     if shift and model.K <= 0:
         raise ValueError("shift baseline needs K > 0 (an oscillation frequency)")
     spec = spectrum(kernel, model)
@@ -161,14 +151,12 @@ def _closed_form(kernel: MemoryKernel, model: ParticleModel, temps,
             "to evaluate the real-axis formulas anyway")
     values, errors = np.zeros(temps.shape), np.zeros(temps.shape)
     hot = temps > 0
-    if not any(kernel.coefficients[:2]):  # a0 = a1 = 0: the oscillator itself
-        if model.K > 0 and not shift:
-            values[:] = [oscillator_free_energy(model.omega_0, T, model.constants)
-                         for T in temps]
+    decoupled = not any(kernel.coefficients[:2])  # a0 = a1 = 0: the oscillator
+    if decoupled and model.K > 0 and not shift:
+        values += oscillator_free_energy(model.omega_0, temps, model.constants)
+    if decoupled or not hot.any():
         return values, errors
-    if not hot.any():
-        return values, errors
-    kT = model.constants.k_B * temps[hot, None]
+    kT = model.constants.k_B * temps[hot][:, None]
     nu = 2.0 * math.pi * kT / model.constants.hbar
     lam = np.array(spec.rates, dtype=complex)
     lam = lam[np.argsort(lam.imag, kind="stable")]
@@ -204,20 +192,20 @@ def _closed_form(kernel: MemoryKernel, model: ParticleModel, temps,
     return values, errors
 
 
-def coupled_free_energy(kernel: MemoryKernel, model: ParticleModel, T: float,
-                        *, allow_acausal: bool = False) -> tuple[float, float]:
+def coupled_free_energy(kernel: MemoryKernel, model: ParticleModel, T,
+                        *, allow_acausal: bool = False):
     """Free energy F0(T) of the oscillator coupled to the bath, as (value,
     rounding bound)."""
-    value, error = _closed_form(kernel, model, [T], allow_acausal, shift=False)
-    return float(value[0]), float(error[0])
+    return tuple(map(_number_or_array, _closed_form(
+        kernel, model, T, allow_acausal, shift=False)))
 
 
-def free_energy_shift(kernel: MemoryKernel, model: ParticleModel, T: float,
-                      *, allow_acausal: bool = False) -> tuple[float, float]:
+def free_energy_shift(kernel: MemoryKernel, model: ParticleModel, T,
+                      *, allow_acausal: bool = False):
     """F0(T) - f(omega_0, T) without cancellation (K > 0), as (value,
     rounding bound)."""
-    value, error = _closed_form(kernel, model, [T], allow_acausal, shift=True)
-    return float(value[0]), float(error[0])
+    return tuple(map(_number_or_array, _closed_form(
+        kernel, model, T, allow_acausal, shift=True)))
 
 
 def t2_low_temperature(kernel: MemoryKernel, model: ParticleModel) -> float:
@@ -234,21 +222,18 @@ def t2_low_temperature(kernel: MemoryKernel, model: ParticleModel) -> float:
     return -math.pi * k.k_B ** 2 * mu0 / (6.0 * k.hbar * model.K) + 0.0
 
 
-def bbr_shift_closed_form(T: float, model: ParticleModel,
-                          dimensions: int = 1) -> float:
+def bbr_shift_closed_form(T, model: ParticleModel, dimensions: int = 1):
     """Low-temperature blackbody shift pi alpha_fs (kT)^2 / (9 M c^2).
 
     Valid in the regime hbar omega_0 << kT << hbar Omega; ``dimensions=3``
     multiplies by 3 (one factor per spatial direction).
     """
-    if T < 0:
-        raise ValueError("T must be >= 0")
     if dimensions not in (1, 3):
         raise ValueError("dimensions must be 1 or 3")
     k = model.constants
-    kT = k.k_B * T
+    kT = k.k_B * check_temperatures(T)
     val = math.pi * k.alpha_fs * kT ** 2 / (9.0 * model.M * k.c ** 2)
-    return 3.0 * val if dimensions == 3 else val
+    return _number_or_array(dimensions * val)
 
 
 @dataclass(frozen=True)
@@ -302,15 +287,13 @@ def free_energy_curve(kernel: MemoryKernel, model: ParticleModel,
     as ``raw_shift``) and the decoupled baseline f(omega_0, T) added back,
     which is the accurate choice at weak coupling.
     """
-    temps = np.asarray(temperatures, dtype=float)
-    k = model.constants
-    base = np.array([oscillator_free_energy(model.omega_0, T, k)
-                     if model.K > 0 and T > 0 else 0.0 for T in temps])
+    temps = check_temperatures(temperatures)
+    base = (oscillator_free_energy(model.omega_0, temps, model.constants)
+            if model.K > 0 else np.zeros(temps.shape))
     vals, errs = _closed_form(kernel, model, temps, allow_acausal, use_shift_route)
-    shifts = vals if use_shift_route else None
-    return FreeEnergyCurve(
-        temperatures=temps, values=base + vals if use_shift_route else vals,
-        baseline=base, errors=errs, raw_shift=shifts)
+    if use_shift_route:
+        return FreeEnergyCurve(temps, base + vals, base, errs, raw_shift=vals)
+    return FreeEnergyCurve(temps, vals, base, errs)
 
 
 def thermo_derivatives(curve: FreeEnergyCurve, rtol: float = 1e-3) -> dict:
@@ -320,8 +303,7 @@ def thermo_derivatives(curve: FreeEnergyCurve, rtol: float = 1e-3) -> dict:
     guards against under-resolved curves (raises GridError).  For a pure-T^2
     free energy the differences are exact and U = -F pointwise.
     """
-    T = curve.temperatures
-    F = curve.values
+    T, F = curve.temperatures, curve.values
     if len(T) < 5:
         raise GridError("grid too coarse: need at least 5 temperature points")
     S = -np.gradient(F, T, edge_order=2)

@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qlebath
@@ -107,6 +108,24 @@ def test_csv_floats_survive_text_round_trip(tmp_path):
     for row in rows[1:]:
         for cell in row:
             assert repr(float(cell)) == cell
+
+
+@pytest.mark.parametrize("units, M, grid", [
+    ("dimensionless", 1.0, {"start": 1e-3, "stop": 1e3, "num": 25,
+                            "spacing": "log"}),
+    ("cgs", 9.1093837015e-28, [0.0, 1.0, 77.0, 300.0, 3e4])],
+    ids=["dimensionless", "cgs-electron"])
+def test_welton_error_column_bounds_the_deviation_at_every_temperature(
+        tmp_path, units, M, grid):
+    data = {"command": "welton", "units": units, "model": {"M": M},
+            "grids": {"T": grid}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0
+    rows = [[float(c) for c in row] for row in read_rows(out / "welton.csv")[1:]]
+    for T, value, closed, error in rows:
+        assert abs(value - closed) <= error <= 1e-13 * closed or T == 0.0
+    result = json.loads((out / "welton.json").read_text())["meta"]["result"]
+    assert result["max_rel_dev_vs_closed_form"] <= 1e-13
 
 
 def test_causality_flags_an_acausal_cutoff(tmp_path):
@@ -436,6 +455,50 @@ def test_a_run_out_of_memory_exits_3_with_one_line_and_no_file(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: memory: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_an_msd_past_the_float_range_exits_3_naming_it(tmp_path, capsys):
+    # the default grid reaches t = 1e302, where 2kT t/(M gamma) ~ 1e602
+    data = {"command": "diffusion", "kernel": {"variant": "ohmic",
+                                               "gamma": 1e-300},
+            "model": {"M": 1, "K": 0}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 3
+    assert capsys.readouterr().err == ("error: numerical: the msd overflows "
+                                       "the float range at t = 1e+301\n")
+    assert not out.exists()
+
+
+def test_a_ballistic_msd_whose_t_squared_overflows_is_still_computed(
+        tmp_path, capsys):
+    # t = 1e301..1e302 squared overflows, but kT t^2/M stays below 1e305
+    data = {"command": "diffusion", "kernel": {"variant": "blackbody"},
+            "model": {"M": 1e300, "K": 0, "Omega": 1e-300}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0 and capsys.readouterr().err == ""
+    rows = read_rows(out / "diffusion.csv")[1:]
+    t, msd = (np.array([float(r[i]) for r in rows]) for i in (0, 1))
+    assert t[-1] == pytest.approx(1e302, rel=1e-15)
+    assert np.allclose(msd, t * (t / 1e300), rtol=1e-14, atol=0.0)
+    assert {r[2] for r in rows} == {"ballistic"}
+
+
+def test_a_relaxation_time_of_1e_minus_300_gives_the_ohmic_shift(tmp_path,
+                                                                 capsys):
+    # the cutoff rate 1/tau = 1e300 is far past every other: the shift is
+    # the Ohmic one, to the last digit
+    base = {"command": "shift", "model": {"M": 1, "K": 1},
+            "grids": {"T": [0.25, 0.5, 1.0, 2.0, 4.0]}}
+    kernels = {"relaxed": {"variant": "single_relaxation", "gamma": 1,
+                           "tau": 1e-300},
+               "ohmic": {"variant": "ohmic", "gamma": 1}}
+    tables = {}
+    for name, kernel in kernels.items():
+        rc, out = run_cli(tmp_path, {**base, "kernel": kernel}, out=name)
+        assert rc == 0
+        tables[name] = read_rows(out / "shift.csv")
+    assert capsys.readouterr().err == ""
+    assert tables["relaxed"] == tables["ohmic"]
 
 
 def test_susceptibility_on_a_pole_is_a_numerical_error(tmp_path, capsys):

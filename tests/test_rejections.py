@@ -159,6 +159,9 @@ REJECTIONS = {
                           "n_traj"),
     "omega-max-negative": ({**ORACLE, "omega_max": -1.0}, "omega_max"),
     "omega-max-below-the-kernel": ({**ORACLE, "omega_max": 9.0}, "omega_max"),
+    "blackbody-coefficient-past-the-float-range": (
+        {**SHIFT, "kernel": {"variant": "blackbody"}, "allow_acausal": True,
+         "model": {"M": 1e-300, "K": 1.0, "Omega": 1e300}}, "model.Omega"),
     "frozen-window-past-recurrence": ({**ORACLE, "N": 10, "omega_max": 16.0,
                                        "freeze_particle": True}, "N"),
 }

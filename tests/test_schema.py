@@ -71,6 +71,33 @@ def test_kernel_from_json_rejects_a_variant_that_is_not_a_string():
         kernel_from_json({"variant": ["ohmic"]})
 
 
+@pytest.mark.parametrize("spec, key, message", [
+    ({"variant": "pink"}, "kernel.variant", r"unknown kernel\.variant 'pink'"),
+    ({"variant": "ohmic", "gamma": 1.0, "bogus": 2}, "kernel.bogus",
+     r"unknown key kernel\.bogus"),
+    ({"variant": "single_relaxation", "tau": 1.0}, "kernel.gamma",
+     "kernel needs 'gamma'"),
+    ({"variant": "single_relaxation", "gamma": 1.0, "tau": "1"}, "kernel.tau",
+     r"kernel\.tau must be a number"),
+    ({"variant": "ohmic", "gamma": -1.0}, "kernel.gamma",
+     r"kernel\.gamma must be >= 0"),
+    ("ohmic", "kernel", "kernel must be a JSON object"),
+    ({"variant": "blackbody", "Omega": 1e300}, "kernel.Omega",
+     r"C Omega\^2 .* overflows"),
+], ids=["variant", "unknown-key", "missing", "string", "negative", "not-an-object",
+        "overflow"])
+def test_kernel_from_json_reports_the_keys_and_messages_of_the_config(
+        spec, key, message):
+    with pytest.raises(ConfigError, match=message) as info:
+        kernel_from_json(spec)
+    assert info.value.key == key
+    if isinstance(spec, dict) and key != "kernel.Omega":
+        # the config says the same of the same kernel
+        with pytest.raises(ConfigError, match=message) as info:
+            validate_config(susceptibility(spec))
+        assert info.value.key == key
+
+
 # Distinct parameter values, so that a swapped parameter order shows.
 DRIVES = {
     "zero": ({}, motion.zero_force),

@@ -366,7 +366,7 @@ def test_tolerance_reaches_the_cgs_quadratures():
     assert abs(fine - coarse) <= err_coarse + err_fine
     closed, err_closed = free_energy_shift(model.kernel(), model, 300.0)
     assert abs(closed - fine) <= err_closed + err_fine
-    value, err = welton_energy(300.0, M, k, rtol=1e-13)
+    value, err = welton_energy(300.0, M, k)
     assert err <= 1e-13 * value
     assert value == pytest.approx(welton_closed_form(300.0, M, k), rel=1e-13,
                                   abs=0.0)
@@ -531,3 +531,75 @@ def test_weak_coupling_shift_keeps_its_digits(gamma):
         rounding = abs(freq - lam.imag) / mpmath.expm1(1)
     assert abs(shift - exact) <= 1e-12 * abs(exact) + 2 * rounding
     assert abs(shift - exact) <= err
+
+
+def test_oscillator_free_energy_keeps_every_digit_of_log_one_minus_exp():
+    # kT = 1, so x = hbar omega/kT is omega exactly; log1p(-exp(-x)) alone
+    # loses ~eps/x at small x (1.1e-12 relative at x = 1e-6)
+    xs = np.concatenate([np.geomspace(1e-8, 700.0, 301), [math.log(2.0)]])
+    values = [oscillator_free_energy(x, 1.0) for x in xs]
+    with mpmath.workdps(40):
+        for x, value in zip(xs, values):
+            exact = mpmath.log1p(-mpmath.exp(-mpmath.mpf(x)))
+            assert abs(value - exact) <= 4e-16 * abs(exact), x
+
+
+def test_oscillator_free_energy_of_an_array_is_the_array_of_its_values():
+    temps = np.array([0.0, 1e-3, 0.5, 2.0, 1e6])
+    values = oscillator_free_energy(1.5, temps)
+    assert isinstance(values, np.ndarray) and values.shape == temps.shape
+    for T, value in zip(temps, values):
+        single = oscillator_free_energy(1.5, T)
+        assert type(single) is float and single == value
+    # +0.0, not -0.0, where e^-x underflows and at T = 0: the CSV writes repr
+    assert repr(oscillator_free_energy(1.5, 1e-3)) == "0.0"
+    assert repr(oscillator_free_energy(1.5, 0.0)) == "0.0"
+
+
+def test_every_closed_form_of_an_array_matches_its_pointwise_values():
+    kernel = OhmicKernel(gamma=0.1)
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
+    temps = np.array([[0.0, 0.3], [1.0, 4.0]])
+    for fn in (coupled_free_energy, free_energy_shift):
+        values, errors = fn(kernel, model, temps)
+        assert values.shape == errors.shape == temps.shape
+        for T, value, error in zip(temps.flat, values.flat, errors.flat):
+            assert fn(kernel, model, T) == (value, error)
+    for fn in (lambda T: welton_closed_form(T, 2.0),
+               lambda T: bbr_shift_closed_form(T, model, 3),
+               lambda T: welton_energy(T, 2.0)[0]):
+        values = fn(temps)
+        assert [fn(T) for T in temps.flat] == list(values.flat)
+
+
+@pytest.mark.parametrize("constants, mass", [
+    (DIMENSIONLESS, 1.0), (PhysicalConstants.cgs(), 9.1093837015e-28)],
+    ids=["dimensionless", "cgs-electron"])
+def test_welton_error_estimate_bounds_the_error_on_the_whole_grid(constants,
+                                                                   mass):
+    temps = (np.geomspace(1e-3, 1e3, 61) if constants is DIMENSIONLESS
+             else np.append(np.geomspace(1.0, 1e5, 60), 300.0))
+    values, errors = welton_energy(temps, mass, constants)
+    closed = welton_closed_form(temps, mass, constants)
+    assert np.all(np.abs(values - closed) <= errors)
+    assert np.max(np.abs(values - closed) / closed) <= 1e-13
+    # the estimate is the 24- against the 48-node rule: ~6e-14 relative
+    assert np.all(errors <= 1e-13 * values)
+    assert welton_energy(0.0, mass, constants) == (0.0, 0.0)
+
+
+def test_welton_energy_has_no_tolerance_to_set():
+    with pytest.raises(TypeError):
+        welton_energy(1.0, 1.0, DIMENSIONLESS, rtol=1e-8)
+
+
+def test_a_cutoff_far_above_every_other_rate_leaves_the_ohmic_shift():
+    # single relaxation with tau = 1e-300: the cubic's outer root is 1e300,
+    # past where its cube overflows, and B(x) ~ 1/(12 x) there
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
+    temps = np.array([0.1, 0.5, 1.0, 4.0])
+    relaxed = free_energy_shift(SingleRelaxationKernel(gamma=1.0, tau=1e-300),
+                                model, temps)
+    ohmic = free_energy_shift(OhmicKernel(gamma=1.0), model, temps)
+    assert np.array_equal(relaxed[0], ohmic[0])
+    assert np.all(relaxed[1] <= 2.0 * ohmic[1])
