@@ -35,6 +35,10 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
+# Bytes of one chunk of thermal initial data, positions and velocities
+# together: small enough to stay in cache while it is projected.
+_CHUNK_BYTES = 2 ** 20
+
 _DUMP_MAGIC = b"QLEB"
 _DUMP_VERSION = 2
 # Header after the magic and the uint32 version, per version.
@@ -394,32 +398,43 @@ def _pcg64_states(seed, n_traj):
 
 
 def _thermal_initial_data(m, w, kT, M, n_traj, seed, moving):
-    """Thermal (pos0, vel0), each (n_traj, N+1): column 0 the particle,
-    columns 1.. the bath, positions relative to x(0).
+    """Thermal initial data, one chunk of consecutive trajectories at a
+    time: yields (rows, pos0, vel0), rows the chunk's slice of the ensemble
+    and pos0, vel0 each (chunk size, N+1), column 0 the particle, columns
+    1.. the bath, positions relative to x(0).  pos0 and vel0 are two
+    buffers of _CHUNK_BYTES together, refilled for the next chunk, so a
+    caller uses them before it draws the next one.
 
     Trajectory i draws from the stream default_rng(child) would give for
     child i of SeedSequence(seed).spawn(n_traj): one reused PCG64 is set to
     each child's state, all of which _pcg64_states derives in one array
     pass.  Standard normals fill the rows in the contract's draw order, then
-    whole columns are scaled: normal(0, s) is 0.0 + s z, so this is
+    the chunk's columns are scaled: normal(0, s) is 0.0 + s z, so this is
     bit-identical to drawing each value at its own scale.
     """
     states = _pcg64_states(seed, n_traj)
-    pos0 = np.zeros((n_traj, m.size + 1))
-    vel0 = np.zeros((n_traj, m.size + 1))
+    size = max(1, min(n_traj, _CHUNK_BYTES // (16 * (m.size + 1))))
+    pos_buf = np.zeros((size, m.size + 1))
+    vel_buf = np.zeros((size, m.size + 1))
+    v_scale = math.sqrt(kT / M)
+    q_scale = np.sqrt(kT / m) / w       # spread of q_j - x(0)
+    p_scale = np.sqrt(m * kT)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    for i, state in enumerate(states):
-        bitgen.state = state
-        if moving:
-            rng.standard_normal(out=vel0[i, :1])
-        rng.standard_normal(out=pos0[i, 1:])
-        rng.standard_normal(out=vel0[i, 1:])
-    vel0[:, 0] *= math.sqrt(kT / M)
-    pos0[:, 1:] *= np.sqrt(kT / m) / w     # spread of q_j - x(0)
-    vel0[:, 1:] *= np.sqrt(m * kT)
-    vel0[:, 1:] /= m
-    return pos0, vel0
+    for start in range(0, n_traj, size):
+        rows = slice(start, min(start + size, n_traj))
+        pos0, vel0 = pos_buf[:rows.stop - start], vel_buf[:rows.stop - start]
+        for i, state in zip(range(len(pos0)), states):
+            bitgen.state = state
+            if moving:
+                rng.standard_normal(out=vel0[i, :1])
+            rng.standard_normal(out=pos0[i, 1:])
+            rng.standard_normal(out=vel0[i, 1:])
+        vel0[:, 0] *= v_scale
+        pos0[:, 1:] *= q_scale
+        vel0[:, 1:] *= p_scale
+        vel0[:, 1:] /= m
+        yield rows, pos0, vel0
 
 
 def simulate_classical_io(bath: Bath, model: ParticleModel, T: float, t_grid,
@@ -435,7 +450,9 @@ def simulate_classical_io(bath: Bath, model: ParticleModel, T: float, t_grid,
     linear, so x(t) and v(t) follow exactly from its normal modes, which
     normal_modes finds from the secular equation of the mass-weighted
     stiffness matrix in O(N^2); there is no time step.  The solve's
-    counters go to Ensemble.diagnostics.
+    counters go to Ensemble.diagnostics.  The initial data are drawn and
+    projected onto the propagators one chunk of trajectories at a time, so
+    beside the outputs they take O(_CHUNK_BYTES) memory, not O(n_traj N).
 
     freeze_particle clamps x at x0; each bath mode is then a normal mode on
     its own, and the bath force on the particle is recorded in
@@ -460,29 +477,37 @@ def simulate_classical_io(bath: Bath, model: ParticleModel, T: float, t_grid,
     kT = model.constants.k_B * T
     M, K = model.M, model.K
     N = m.size
-    pos0, vel0 = _thermal_initial_data(m, w, kT, M, n_traj, seed,
-                                       moving=not freeze_particle)
+    chunks = _thermal_initial_data(m, w, kT, M, n_traj, seed,
+                                   moving=not freeze_particle)
 
     if freeze_particle:
         # Clamped particle: the bath modes are the normal modes, and
         # F(t) = sum_j c_j (q_j(t) - x0).
         C, S, _ = _propagators(t, w ** 2, c)
-        F = pos0[:, 1:] @ C.T + vel0[:, 1:] @ S.T
+        F = np.empty((n_traj, t.size))
+        for rows, pos0, vel0 in chunks:
+            F[rows] = pos0[:, 1:] @ C.T + vel0[:, 1:] @ S.T
+        del pos0, vel0                  # the buffers go before x and v come
         x_out = np.full((n_traj, t.size), float(x0))
         v_out = np.zeros((n_traj, t.size))
         return Ensemble(times=t, x=x_out, v=v_out, seed=int(seed),
                         N_bath=N, T=T, force=F, k_B=model.constants.k_B)
 
-    if v0 is not None:
-        vel0[:, 0] = float(v0)
     lam, U, diagnostics = normal_modes(bath, M, K)
     row = U[0] / math.sqrt(M)
     basis = U.T                     # modes in rows; scaled in place
     basis *= np.sqrt(np.concatenate(([M], m)))
     C, S, D = _propagators(t, lam, row, basis)
+    del U, basis
     # z(0) = x0 + pos0 in every coordinate.
-    x_out = x0 * C.sum(axis=1) + pos0 @ C.T + vel0 @ S.T
-    v_out = x0 * D.sum(axis=1) + pos0 @ D.T + vel0 @ C.T
+    x_start, v_start = x0 * C.sum(axis=1), x0 * D.sum(axis=1)
+    x_out = np.empty((n_traj, t.size))
+    v_out = np.empty((n_traj, t.size))
+    for rows, pos0, vel0 in chunks:
+        if v0 is not None:
+            vel0[:, 0] = float(v0)
+        x_out[rows] = x_start + pos0 @ C.T + vel0 @ S.T
+        v_out[rows] = v_start + pos0 @ D.T + vel0 @ C.T
     return Ensemble(times=t, x=x_out, v=v_out, seed=int(seed),
                     N_bath=N, T=T, force=None, k_B=model.constants.k_B,
                     diagnostics=diagnostics)
@@ -594,7 +619,7 @@ def dump_ensemble(ens: Ensemble, path) -> None:
     with nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC + struct.pack("<I", _DUMP_VERSION) + header)
         for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(block, dtype="<f8").data)
 
 
 def load_ensemble(path) -> Ensemble:

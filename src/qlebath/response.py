@@ -66,7 +66,10 @@ class ParticleModel:
     @property
     def omega_0(self) -> float:
         """Oscillation frequency sqrt(K/M) of the observed-mass oscillator."""
-        return math.sqrt(self.K / self.M)
+        ratio = self.K / self.M
+        if math.isinf(ratio):       # K/M past the float range, not its root
+            return math.sqrt(self.K) / math.sqrt(self.M)
+        return math.sqrt(ratio)
 
     @property
     def is_causal(self) -> bool:
@@ -235,13 +238,42 @@ def _outer_real_root(c2: float, c1: float, c0: float) -> float:
 
 
 def _quadratic_roots(p: float, s: float) -> list:
-    """Roots of x^2 + p x + s without cancellation."""
-    disc = p * p - 4.0 * s
+    """Roots of x^2 + p x + s without cancellation.  Past roots of 2^500,
+    where p^2 or 4 s overflows, the discriminant is taken of x/2^k."""
+    big = max(abs(p), math.sqrt(abs(s)))
+    k = math.frexp(big)[1] if big > 2.0 ** 500 else 0
+    pk = math.ldexp(p, -k)
+    disc = pk * pk - 4.0 * math.ldexp(s, -2 * k)
     if disc < 0.0:
-        half = 0.5 * math.sqrt(-disc)
+        half = math.ldexp(0.5 * math.sqrt(-disc), k)
         return [complex(-0.5 * p, half), complex(-0.5 * p, -half)]
-    t = -0.5 * (p + math.copysign(math.sqrt(disc), p))
+    t = math.ldexp(-0.5 * (pk + math.copysign(math.sqrt(disc), pk)), k)
     return [t, s / t] if t != 0.0 else [0.0, 0.0]
+
+
+def _scaled_monic(q: list[float]) -> tuple[int, list[float]]:
+    """e and the coefficients c of u^n + c_1 u^(n-1) + ... + c_n, the rate
+    polynomial q (highest power first) in lam = 2^e u over its leading
+    coefficient.  e is 0, and c is q_k/q_0, unless a q_k/q_0 overflows (a
+    pole pair near 1e200 has q_2/q_0 near 1e400); e is then the exponent of
+    Fujiwara's bound on the roots, read off the coefficients' exponents.
+    Scaling by a power of two rounds nothing.
+    """
+    c = [ck / q[0] for ck in q[1:]]
+    if all(map(math.isfinite, c)):
+        return 0, c
+    lead, e0 = math.frexp(q[0])
+    parts = [math.frexp(ck) for ck in q[1:]]
+    e = max(-((e0 - ek) // k) for k, (mk, ek) in enumerate(parts, 1) if mk)
+    return e, [math.ldexp(mk / lead, ek - e0 - k * e)
+               for k, (mk, ek) in enumerate(parts, 1)]
+
+
+def _ldexp(lam, e: int):
+    """lam 2^e for a real or complex lam."""
+    if isinstance(lam, complex):
+        return complex(math.ldexp(lam.real, e), math.ldexp(lam.imag, e))
+    return math.ldexp(lam, e)
 
 
 def decay_rates(kernel: MemoryKernel, model: ParticleModel) -> list:
@@ -262,9 +294,7 @@ def decay_rates(kernel: MemoryKernel, model: ParticleModel) -> list:
         q = q[:-1]
     if len(q) < 2:
         return []
-    c = [ck / q[0] for ck in q[1:]]
-    if len(c) == 1:
-        return [-c[0]]
+    e, c = _scaled_monic(q)
     outer = []
     if len(c) == 3:
         r = _outer_real_root(*c)
@@ -275,9 +305,18 @@ def decay_rates(kernel: MemoryKernel, model: ParticleModel) -> list:
         else:
             p = c[0] + r
             c = [p, c[1] + r * p]
+    roots = [-c[0]] if len(c) == 1 else _quadratic_roots(*c)
+    try:
+        outer = [math.ldexp(r, e) for r in outer]
+        roots = [_ldexp(lam, e) for lam in roots]
+    except OverflowError:
+        raise OverflowError("a pole rate of alpha overflows the float range "
+                            f"(|lam| ~ 2^{e})") from None
+    if len(c) == 1:
+        return roots
     D_Dp = denominator_closure(kernel, model)
     out = []
-    for lam in _quadratic_roots(*c):
+    for lam in roots:
         if isinstance(lam, complex) and lam.imag < 0.0:
             out.append(out[-1].conjugate())  # second member of a pair
             continue

@@ -122,6 +122,7 @@ def _binet(x):
         w = (y + 0.5) / (y * (y + 1.0))
         x = x + np.clip(n, 0, 12)
         w2 = 1.0 / (x * x)
+        w2 = np.where(np.isfinite(w2), w2, 0.0)  # complex x^2 overflows to nan
         series = np.polyval(_STIRLING[::-1], w2) / x
         series_p = np.polyval(_STIRLING_PRIME[::-1], w2) * w2
         return (np.where(take, v - 1.0, 0.0).sum(-1) + series,

@@ -1,7 +1,9 @@
 """Discretized-bath simulation: kernel reconstruction, thermal statistics."""
 
+import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,8 +170,20 @@ def test_spawn_keys_must_fit_one_uint32_word():
     assert len(list(bath_sim._pcg64_states(7, 3))) == 3
 
 
+def chunk_rows(N):
+    """Trajectories per chunk of _thermal_initial_data for an N-mode bath."""
+    return max(1, bath_sim._CHUNK_BYTES // (16 * (N + 1)))
+
+
+def chunk_bytes_for(rows, N):
+    """The _CHUNK_BYTES that gives chunks of `rows` trajectories."""
+    return 16 * (N + 1) * rows
+
+
 def reference_initial_data(m, w, kT, M, n_traj, seed, moving):
-    """The per-value draws at their own scales, in the contract's order."""
+    """The per-value draws at their own scales, in the contract's order,
+    yielded as (rows, pos0, vel0) in the chunks _thermal_initial_data
+    uses."""
     streams = np.random.SeedSequence(seed).spawn(n_traj)
     pos0 = np.zeros((n_traj, m.size + 1))
     vel0 = np.zeros((n_traj, m.size + 1))
@@ -179,7 +193,17 @@ def reference_initial_data(m, w, kT, M, n_traj, seed, moving):
             vel0[i, 0] = rng.normal(0.0, math.sqrt(kT / M))
         pos0[i, 1:] = rng.normal(0.0, np.sqrt(kT / m) / w)
         vel0[i, 1:] = rng.normal(0.0, np.sqrt(m * kT)) / m
-    return pos0, vel0
+    size = chunk_rows(m.size)
+    for start in range(0, n_traj, size):
+        rows = slice(start, min(start + size, n_traj))
+        yield rows, pos0[rows], vel0[rows]
+
+
+def drawn_initial_data(*args):
+    """The whole (pos0, vel0) of _thermal_initial_data, chunks joined."""
+    chunks = [(p.copy(), v.copy())
+              for _, p, v in bath_sim._thermal_initial_data(*args)]
+    return tuple(np.concatenate(drawn) for drawn in zip(*chunks))
 
 
 # run name -> (model.K, simulate_classical_io options)
@@ -192,18 +216,29 @@ DRAW_ORDER_RUNS = {
 }
 
 
+# 25 trajectories in one chunk, or in chunks of 7, 7, 7 and 4
+@pytest.mark.parametrize("rows", [None, 7], ids=["one-chunk", "four-chunks"])
 @pytest.mark.parametrize("run", sorted(DRAW_ORDER_RUNS))
-def test_ensemble_matches_the_per_value_draws_bitwise(run, monkeypatch):
+def test_ensemble_matches_the_per_value_draws_bitwise(run, rows, monkeypatch):
     K, sim_kw = DRAW_ORDER_RUNS[run]
     kernel = SingleRelaxationKernel(gamma=0.8, tau=0.5, mass=1.3)
     model = ParticleModel(M=1.3, K=K, Omega=1.0)
     osc = discretize_bath(kernel, N=40, omega_max=32.0)
+    if rows is not None:
+        monkeypatch.setattr(bath_sim, "_CHUNK_BYTES",
+                            chunk_bytes_for(rows, 40))
     t = np.linspace(0.0, 4.0, 17)
     args = (osc, model, 1.7, t, 25, 123)
     ens = simulate_classical_io(*args, **sim_kw)
-    monkeypatch.setattr(bath_sim, "_thermal_initial_data",
-                        reference_initial_data)
+    calls = []
+
+    def reference(*draw_args, **draw_kw):
+        calls.append(draw_args)
+        return reference_initial_data(*draw_args, **draw_kw)
+
+    monkeypatch.setattr(bath_sim, "_thermal_initial_data", reference)
     ref = simulate_classical_io(*args, **sim_kw)
+    assert len(calls) == 1      # the reference is what the simulation drew
     assert np.array_equal(ens.x, ref.x) and np.array_equal(ens.v, ref.v)
     if ref.force is None:
         assert ens.force is None
@@ -211,14 +246,52 @@ def test_ensemble_matches_the_per_value_draws_bitwise(run, monkeypatch):
         assert np.array_equal(ens.force, ref.force)
 
 
+def test_chunks_tile_the_ensemble_in_order(monkeypatch):
+    osc = discretize_bath(OhmicKernel(gamma=1.0), N=30, omega_max=16.0)
+    monkeypatch.setattr(bath_sim, "_CHUNK_BYTES", chunk_bytes_for(10, 30))
+    chunks = bath_sim._thermal_initial_data(osc.m, osc.w, 1.2, 1.0, 43, 9,
+                                            True)
+    rows = [(r.start, r.stop, p.shape, v.shape) for r, p, v in chunks]
+    assert rows == [(0, 10, (10, 31), (10, 31)), (10, 20, (10, 31), (10, 31)),
+                    (20, 30, (10, 31), (10, 31)), (30, 40, (10, 31), (10, 31)),
+                    (40, 43, (3, 31), (3, 31))]
+
+
 @pytest.mark.parametrize("freeze", [False, True])
-def test_first_trajectories_do_not_depend_on_the_ensemble_size(freeze):
+def test_a_chunked_ensemble_matches_one_chunk(freeze, monkeypatch):
+    # 43 trajectories in chunks of 10, 10, 10, 10 and 3 against one chunk:
+    # the draws are the same, only the matrix products' shapes differ
     kernel = OhmicKernel(gamma=1.0)
     model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
     osc = discretize_bath(kernel, N=30, omega_max=16.0)
+    args = (osc, model, 1.2, np.linspace(0.0, 3.0, 13), 43, 9)
+    monkeypatch.setattr(bath_sim, "_CHUNK_BYTES", chunk_bytes_for(43, 30))
+    one = simulate_classical_io(*args, freeze_particle=freeze, x0=0.3)
+    monkeypatch.setattr(bath_sim, "_CHUNK_BYTES", chunk_bytes_for(10, 30))
+    chunked = simulate_classical_io(*args, freeze_particle=freeze, x0=0.3)
+    if freeze:
+        assert np.array_equal(chunked.force, one.force)
+        assert np.array_equal(chunked.x, one.x)
+        assert np.array_equal(chunked.v, one.v)
+        return
+    for a, b in ((chunked.x, one.x), (chunked.v, one.v)):
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+# chunks of 5 split the 7 trajectories 5 + 2 and the 50 into ten
+@pytest.mark.parametrize("rows", [None, 5], ids=["one-chunk", "chunks-of-5"])
+@pytest.mark.parametrize("freeze", [False, True])
+def test_first_trajectories_do_not_depend_on_the_ensemble_size(freeze, rows,
+                                                               monkeypatch):
+    kernel = OhmicKernel(gamma=1.0)
+    model = ParticleModel(M=1.0, K=1.0, Omega=1.0)
+    osc = discretize_bath(kernel, N=30, omega_max=16.0)
+    if rows is not None:
+        monkeypatch.setattr(bath_sim, "_CHUNK_BYTES",
+                            chunk_bytes_for(rows, 30))
     m, w = osc.m, osc.w
-    small = bath_sim._thermal_initial_data(m, w, 1.2, 1.0, 7, 9, not freeze)
-    large = bath_sim._thermal_initial_data(m, w, 1.2, 1.0, 50, 9, not freeze)
+    small = drawn_initial_data(m, w, 1.2, 1.0, 7, 9, not freeze)
+    large = drawn_initial_data(m, w, 1.2, 1.0, 50, 9, not freeze)
     for a, b in zip(small, large):
         assert np.array_equal(a, b[:7])
     t = np.linspace(0.0, 3.0, 13)
@@ -231,6 +304,28 @@ def test_first_trajectories_do_not_depend_on_the_ensemble_size(freeze):
         pairs.append((k.force, n.force))
     for a, b in pairs:
         assert np.max(np.abs(b[:7] - a)) <= 1e-14 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_initial_data_take_two_chunks_beside_the_outputs(freeze):
+    # The whole (n_traj, N+1) initial data (6.4 MB here) are never held: the
+    # peak is the outputs, the propagators and at most two chunks' worth of
+    # buffers, products and seeds.
+    kernel = OhmicKernel(gamma=1.0)
+    model = ParticleModel(M=1.0, K=0.5, Omega=1.0)
+    osc = discretize_bath(kernel, N=200)
+    t = np.linspace(0.0, 5.0, 51)
+    args = (osc, model, 1.0, t, 2000, 3)
+    simulate_classical_io(*args, freeze_particle=freeze)   # imports, caches
+    tracemalloc.start()
+    try:
+        ens = simulate_classical_io(*args, freeze_particle=freeze)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (ens.x, ens.v, ens.force) if a is not None)
+    propagators = (2 if freeze else 3) * 8 * t.size * (osc.w.size + 1)
+    assert peak < outputs + 2 * bath_sim._CHUNK_BYTES + propagators
 
 
 def test_equipartition_of_the_bound_particle():
@@ -439,6 +534,29 @@ def test_dump_keeps_the_frozen_force(tmp_path):
     after = force_autocorrelation_check(back, osc, kernel)
     assert np.array_equal(after.estimate, before.estimate)
     assert np.array_equal(after.target, before.target)
+
+
+def test_dump_writes_each_block_from_its_array(tmp_path):
+    # Row-major bytes whatever the block's memory order, and no copy of a
+    # block that is already little-endian and C-contiguous
+    rng = np.random.default_rng(5)
+    x, v, force = rng.standard_normal((3, 4000, 64))
+    ens = bath_sim.Ensemble(times=np.linspace(0.0, 1.0, 64),
+                            x=np.asfortranarray(x), v=v, seed=4, N_bath=10,
+                            T=1.5, force=force)
+    dump_ensemble(ens, tmp_path / "warm.bin")
+    tracemalloc.start()
+    try:
+        dump_ensemble(ens, tmp_path / "big.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes <= peak < x.nbytes + 2 ** 16     # the Fortran block only
+    data = (tmp_path / "big.bin").read_bytes()
+    assert data[-3 * x.nbytes:] == x.tobytes() + v.tobytes() + force.tobytes()
+    buffer = io.BytesIO()
+    dump_ensemble(ens, buffer)
+    assert buffer.getvalue() == data
 
 
 def test_load_reads_version_1_dumps(tmp_path):

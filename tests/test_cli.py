@@ -501,6 +501,39 @@ def test_a_relaxation_time_of_1e_minus_300_gives_the_ohmic_shift(tmp_path,
     assert tables["relaxed"] == tables["ohmic"]
 
 
+@pytest.mark.parametrize("command", ["shift", "free-energy"])
+def test_a_complex_pole_pair_near_1e200_gives_the_t2_shift(tmp_path, capsys,
+                                                          command):
+    # rate polynomial lam^2 - 1e200 lam + 1e400: K/M = 1e400 is past the
+    # float range, its roots 1e200 exp(+-i pi/3) and omega_0 = 1e200 are not;
+    # far below every rate the shift is the T^2 law -pi mu(0) T^2/(6 K)
+    data = {"command": command, "kernel": {"variant": "ohmic", "gamma": 1e200},
+            "model": {"M": 1e-100, "K": 1e300}, "grids": {"T": [0.5, 1.0]}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 0 and capsys.readouterr().err == ""
+    header, *rows = read_rows(out / f"{command.replace('-', '_')}.csv")
+    for row in rows:
+        T, F0, baseline, shift = (float(row[header.index(k)])
+                                  for k in ("T", "F0", "baseline", "shift"))
+        law = -math.pi / 6.0 * 1e-200 * T ** 2
+        assert baseline == 0.0
+        assert F0 == pytest.approx(law, rel=1e-14, abs=0.0)
+        assert shift == pytest.approx(law, rel=1e-14, abs=0.0)
+
+
+def test_a_pole_rate_past_the_float_range_exits_3_naming_it(tmp_path, capsys):
+    # the cutoff rate 1/tau = 1e320 of a subnormal relaxation time
+    data = {"command": "shift", "kernel": {"variant": "single_relaxation",
+                                           "gamma": 1, "tau": 1e-320},
+            "model": {"M": 1, "K": 1}, "grids": {"T": [0.5, 1.0]}}
+    rc, out = run_cli(tmp_path, data)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: a pole rate of alpha overflows "
+                          "the float range") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_susceptibility_on_a_pole_is_a_numerical_error(tmp_path, capsys):
     # undamped oscillator: omega = 1 is a pole of alpha
     data = {"command": "susceptibility", "kernel": {"variant": "ohmic",

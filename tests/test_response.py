@@ -20,6 +20,8 @@ from qlebath import (
     poles_and_causality,
     susceptibility,
 )
+from qlebath import response
+from qlebath.response import decay_rates
 from qlebath.kernels import ELECTRON_MASS_CGS
 
 
@@ -252,3 +254,26 @@ def test_resonance_peak_dominates_off_resonance():
     on = abs(susceptibility(kernel, model, 1.0))
     off = abs(susceptibility(kernel, model, 2.0))
     assert on > 50 * off
+
+
+def test_rates_whose_monic_polynomial_overflows_are_found_scaled():
+    # lam^2 - 1e200 lam + 1e400 = 0: its monic coefficient K/M overflows
+    kernel = OhmicKernel(gamma=1e200, mass=1e-100)
+    model = ParticleModel(M=1e-100, K=1e300, Omega=1.0)
+    assert model.omega_0 == pytest.approx(1e200, rel=1e-15)
+    lam = sorted(decay_rates(kernel, model), key=lambda z: z.imag)
+    want = [1e200 * complex(0.5, -math.sqrt(0.75)),
+            1e200 * complex(0.5, math.sqrt(0.75))]
+    for got, ref in zip(lam, want):
+        assert abs(got - ref) <= 1e-15 * abs(ref)
+    # lam^2 - 1e200 lam + 1 = 0: the quotients are finite, p^2 is not
+    lam = decay_rates(OhmicKernel(gamma=1e200),
+                      ParticleModel(M=1.0, K=1.0, Omega=1.0))
+    assert lam == [pytest.approx(1e200, rel=1e-15),
+                   pytest.approx(1e-200, rel=1e-15)]
+    # where the quotients are finite nothing is scaled, however large the
+    # roots: a cutoff rate 1/tau = 1e300 beside an oscillator at 1
+    q = response._rate_polynomial(
+        SingleRelaxationKernel(gamma=1.0, tau=1e-300),
+        ParticleModel(M=1.0, K=1.0, Omega=1.0))
+    assert response._scaled_monic(q) == (0, [ck / q[0] for ck in q[1:]])
